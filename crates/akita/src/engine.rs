@@ -10,10 +10,7 @@
 //!
 //! # Hot path (see DESIGN.md, "Engine hot path")
 //!
-//! Per dispatched event the seed engine paid a heap push/pop, a
-//! `HashSet<(ComponentId, VTime)>` insert+remove for tick dedup, an
-//! unconditional `try_recv` on the query channel, and two atomic stores.
-//! The current engine replaces all four on the common path:
+//! Per dispatched event the engine keeps four mechanisms always on:
 //!
 //! - same-cycle events ride the [`EventQueue`] ring lane (O(1), no heap
 //!   traffic);
@@ -21,14 +18,13 @@
 //!   ([`TickDedup`]) — O(1), no hashing;
 //! - the query channel is only drained when [`SimControl`]'s pending-query
 //!   counter (bumped by [`QueryClient`]) is non-zero;
-//! - the `now`/`events` atomics are published every
-//!   [`EngineTuning::publish_batch`] events, with an *exact* flush whenever
-//!   a query is served, the engine pauses/idles, or a run returns — so the
-//!   monitor never observes a stale count when it actually looks.
+//! - the `now`/`events` atomics are published every [`PUBLISH_BATCH`]
+//!   events, with an *exact* flush whenever a query is served, the engine
+//!   pauses/idles, or a run returns — so the monitor never observes a stale
+//!   count when it actually looks.
 //!
-//! Each optimization can be disabled via [`EngineTuning`] to recover the
-//! seed behaviour for ablation benchmarks, and the integration tests prove
-//! both configurations dispatch bit-identical event sequences.
+//! None of them changes the dispatched event sequence; the integration
+//! tests pin that sequence by digest.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -55,55 +51,9 @@ use crate::query::{
 use crate::queue::{EventKind, EventQueue};
 use crate::time::VTime;
 
-/// Hot-path tuning knobs for the engine loop.
-///
-/// The default ([`EngineTuning::fast`]) enables every fast path; the
-/// [`EngineTuning::seed`] preset reproduces the original engine's per-event
-/// costs (single-heap queue, hashing tick dedup, unconditional channel
-/// polling, per-event atomic publishes) for before/after measurement —
-/// `rtm-bench`'s `bench_engine` harness runs both and emits
-/// `BENCH_engine.json`. Every configuration dispatches the *same* event
-/// sequence; only constant factors differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineTuning {
-    /// Use the same-cycle ring lane in the event queue.
-    pub ring_lane: bool,
-    /// Use epoch-stamped per-component tick dedup instead of a `HashSet`.
-    pub epoch_dedup: bool,
-    /// Drain the query channel only when a query is actually pending.
-    pub demand_polling: bool,
-    /// Publish the `now`/`events` atomics every N events (min 1). Exact
-    /// flushes still happen on every query, pause, idle, and run return.
-    pub publish_batch: u64,
-}
-
-impl EngineTuning {
-    /// Every fast path on (the default).
-    pub const fn fast() -> Self {
-        EngineTuning {
-            ring_lane: true,
-            epoch_dedup: true,
-            demand_polling: true,
-            publish_batch: 1024,
-        }
-    }
-
-    /// The seed engine's per-event behaviour, for ablation baselines.
-    pub const fn seed() -> Self {
-        EngineTuning {
-            ring_lane: false,
-            epoch_dedup: false,
-            demand_polling: false,
-            publish_batch: 1,
-        }
-    }
-}
-
-impl Default for EngineTuning {
-    fn default() -> Self {
-        EngineTuning::fast()
-    }
-}
+/// Events dispatched between publishes of the `now`/`events` atomics.
+/// Exact flushes still happen on every query, pause, idle, and run return.
+const PUBLISH_BATCH: u64 = 1024;
 
 /// Sentinel for an empty tick-dedup slot ([`VTime::MAX`] is reserved as an
 /// "infinitely far" marker and never a real tick time).
@@ -112,97 +62,64 @@ const NO_TICK: u64 = u64::MAX;
 /// Bookkeeping that guarantees at most one queued `Tick` per
 /// `(component, time)` pair.
 ///
-/// The `Epoch` representation stores, per component, the times of its
-/// pending ticks in two inline slots — the stamp *is* the scheduled time,
-/// so nothing needs clearing as the clock advances, and the common
-/// `{now, next-cycle}` pattern never hashes. A third concurrent pending
-/// time (rare: driver-style components scheduling far-future wakeups while
-/// active) spills into a small overflow set. `Hash` is the seed's exact
-/// representation, kept for the ablation benchmarks; both are exact, so
-/// the dispatched event sequence is identical either way.
-#[derive(Debug)]
-pub(crate) enum TickDedup {
-    Epoch {
-        slots: Vec<[u64; 2]>,
-        overflow: HashSet<(u32, u64)>,
-    },
-    Hash(HashSet<(ComponentId, VTime)>),
+/// Each component's pending tick times live in two inline slots — the
+/// stamp *is* the scheduled time, so nothing needs clearing as the clock
+/// advances, and the common `{now, next-cycle}` pattern never hashes. A
+/// third concurrent pending time (rare: driver-style components scheduling
+/// far-future wakeups while active) spills into a small overflow set.
+#[derive(Debug, Default)]
+pub(crate) struct TickDedup {
+    slots: Vec<[u64; 2]>,
+    overflow: HashSet<(u32, u64)>,
 }
 
 impl TickDedup {
-    fn epoch() -> Self {
-        TickDedup::Epoch {
-            slots: Vec::new(),
-            overflow: HashSet::new(),
-        }
-    }
-
-    fn hash() -> Self {
-        TickDedup::Hash(HashSet::new())
-    }
-
     /// Records a pending tick; returns `false` when one is already queued
     /// for this exact `(component, time)`.
     #[inline]
     pub(crate) fn insert(&mut self, component: ComponentId, t: VTime) -> bool {
-        match self {
-            TickDedup::Epoch { slots, overflow } => {
-                let i = component.index();
-                let t = t.ps();
-                debug_assert_ne!(t, NO_TICK, "VTime::MAX is not a schedulable tick time");
-                if i >= slots.len() {
-                    slots.resize(i + 1, [NO_TICK; 2]);
-                }
-                let s = &mut slots[i];
-                if s[0] == t || s[1] == t {
-                    return false;
-                }
-                if !overflow.is_empty() && overflow.contains(&(component.as_u32(), t)) {
-                    return false;
-                }
-                if s[0] == NO_TICK {
-                    s[0] = t;
-                    true
-                } else if s[1] == NO_TICK {
-                    s[1] = t;
-                    true
-                } else {
-                    overflow.insert((component.as_u32(), t))
-                }
-            }
-            TickDedup::Hash(set) => set.insert((component, t)),
+        let i = component.index();
+        let t = t.ps();
+        debug_assert_ne!(t, NO_TICK, "VTime::MAX is not a schedulable tick time");
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, [NO_TICK; 2]);
+        }
+        let s = &mut self.slots[i];
+        if s[0] == t || s[1] == t {
+            return false;
+        }
+        let key = (component.as_u32(), t);
+        if !self.overflow.is_empty() && self.overflow.contains(&key) {
+            return false;
+        }
+        if s[0] == NO_TICK {
+            s[0] = t;
+            true
+        } else if s[1] == NO_TICK {
+            s[1] = t;
+            true
+        } else {
+            self.overflow.insert(key)
         }
     }
 
     /// Clears the pending record after the tick is dispatched.
     #[inline]
     pub(crate) fn remove(&mut self, component: ComponentId, t: VTime) {
-        match self {
-            TickDedup::Epoch { slots, overflow } => {
-                let i = component.index();
-                let t = t.ps();
-                if let Some(s) = slots.get_mut(i) {
-                    if s[0] == t {
-                        s[0] = NO_TICK;
-                        return;
-                    }
-                    if s[1] == t {
-                        s[1] = NO_TICK;
-                        return;
-                    }
-                }
-                if !overflow.is_empty() {
-                    overflow.remove(&(component.as_u32(), t));
-                }
+        let t = t.ps();
+        if let Some(s) = self.slots.get_mut(component.index()) {
+            if s[0] == t {
+                s[0] = NO_TICK;
+                return;
             }
-            TickDedup::Hash(set) => {
-                set.remove(&(component, t));
+            if s[1] == t {
+                s[1] = NO_TICK;
+                return;
             }
         }
-    }
-
-    fn is_epoch(&self) -> bool {
-        matches!(self, TickDedup::Epoch { .. })
+        if !self.overflow.is_empty() {
+            self.overflow.remove(&(component.as_u32(), t));
+        }
     }
 }
 
@@ -400,7 +317,7 @@ impl Scheduler {
             queue: EventQueue::new(),
             now: VTime::ZERO,
             current: ComponentId::from_index(0),
-            pending_ticks: TickDedup::epoch(),
+            pending_ticks: TickDedup::default(),
         }
     }
 
@@ -408,27 +325,6 @@ impl Scheduler {
         let t = t.max(self.now);
         if self.pending_ticks.insert(component, t) {
             self.queue.push(t, component, EventKind::Tick);
-        }
-    }
-
-    /// Applies the queue-level tuning knobs (ring lane, dedup
-    /// representation), migrating pending tick bookkeeping as needed. Used
-    /// by [`Simulation::set_tuning`] and by the parallel engine when
-    /// seeding per-partition schedulers.
-    pub(crate) fn apply_tuning(&mut self, tuning: EngineTuning) {
-        self.queue.set_ring_enabled(tuning.ring_lane);
-        if tuning.epoch_dedup != self.pending_ticks.is_epoch() {
-            let mut fresh = if tuning.epoch_dedup {
-                TickDedup::epoch()
-            } else {
-                TickDedup::hash()
-            };
-            for ev in self.queue.events() {
-                if ev.kind == EventKind::Tick {
-                    fresh.insert(ev.component, ev.time);
-                }
-            }
-            self.pending_ticks = fresh;
         }
     }
 }
@@ -470,11 +366,8 @@ pub struct Simulation {
     pub(crate) ctrl: Arc<SimControl>,
     query_tx: Sender<SimQuery>,
     query_rx: Receiver<SimQuery>,
-    /// Events between query-channel polls (1 = poll every event).
-    query_poll_interval: u64,
-    pub(crate) tuning: EngineTuning,
     /// Exact events dispatched (engine-thread view; the atomic in `ctrl`
-    /// lags by at most `tuning.publish_batch` between exact flushes).
+    /// lags by at most [`PUBLISH_BATCH`] between exact flushes).
     pub(crate) events_total: u64,
     /// `events_total` at the last atomic flush.
     events_published: u64,
@@ -531,8 +424,6 @@ impl Simulation {
             ctrl: Arc::new(SimControl::default()),
             query_tx,
             query_rx,
-            query_poll_interval: 1,
-            tuning: EngineTuning::fast(),
             events_total: 0,
             events_published: 0,
             terminate_requested: false,
@@ -549,31 +440,6 @@ impl Simulation {
             activity_on: false,
             par: None,
         }
-    }
-
-    /// Sets how many events are dispatched between monitor-query polls.
-    ///
-    /// The default of 1 matches the paper's design; with demand polling
-    /// (see [`EngineTuning`]) each poll is a single relaxed atomic load
-    /// unless a query is actually waiting, so larger values exist only for
-    /// the ablation benchmarks.
-    pub fn set_query_poll_interval(&mut self, every_n_events: u64) {
-        self.query_poll_interval = every_n_events.max(1);
-    }
-
-    /// Reconfigures the engine hot path (safe at any point; pending tick
-    /// bookkeeping is migrated when the dedup representation changes).
-    pub fn set_tuning(&mut self, tuning: EngineTuning) {
-        self.tuning = EngineTuning {
-            publish_batch: tuning.publish_batch.max(1),
-            ..tuning
-        };
-        self.sched.apply_tuning(tuning);
-    }
-
-    /// The active hot-path configuration.
-    pub fn tuning(&self) -> EngineTuning {
-        self.tuning
     }
 
     /// Registers a component, assigning its [`ComponentId`].
@@ -842,7 +708,7 @@ impl Simulation {
 
     /// Makes the lock-free monitor view (`now`, `events`) exact.
     ///
-    /// Called every `publish_batch` events, and — so the monitor never
+    /// Called every [`PUBLISH_BATCH`] events, and — so the monitor never
     /// observes staleness when it actually looks — before every served
     /// query, on pause/idle entry, and when a run returns.
     pub(crate) fn flush_publish(&mut self) {
@@ -855,7 +721,7 @@ impl Simulation {
         self.sched.now = ev.time;
         self.sched.current = ev.component;
         self.events_total += 1;
-        if self.events_total - self.events_published >= self.tuning.publish_batch {
+        if self.events_total - self.events_published >= PUBLISH_BATCH {
             self.flush_publish();
         }
         if self.trace_enabled {
@@ -1058,7 +924,6 @@ impl Simulation {
         self.ctrl.set_state(RunState::Running);
         self.flush_publish();
         self.terminate_requested = false;
-        let mut since_poll = 0u64;
         let reason = loop {
             if self.ctrl.stop_requested() || self.terminate_requested {
                 break StopReason::Stopped;
@@ -1067,12 +932,8 @@ impl Simulation {
                 self.paused_loop();
                 continue;
             }
-            since_poll += 1;
-            if since_poll >= self.query_poll_interval {
-                since_poll = 0;
-                if !self.tuning.demand_polling || self.ctrl.has_pending_queries() {
-                    self.drain_queries();
-                }
+            if self.ctrl.has_pending_queries() {
+                self.drain_queries();
             }
             if let Some(d) = deadline {
                 if self.sched.queue.peek_time().is_some_and(|t| t > d) {

@@ -68,9 +68,7 @@ pub use analysis::{
 pub use buffer::{Buffer, BufferRegistry, BufferSnapshot};
 pub use component::{CompBase, Component};
 pub use conn::{Connection, DirectConnection, LinkWait, SendError};
-pub use engine::{
-    CrashInfo, Ctx, EngineTuning, RunState, RunSummary, SimControl, Simulation, StopReason,
-};
+pub use engine::{CrashInfo, Ctx, RunState, RunSummary, SimControl, Simulation, StopReason};
 pub use faults::{
     FaultHub, FaultInstallSummary, FaultKind, FaultPlan, FaultReport, FaultRule, FaultRuleStatus,
 };

@@ -1064,9 +1064,6 @@ fn run_windowed_inner(
     sim.flush_publish();
     sim.terminate_requested = false;
     par.set_comp_faults(sim.comp_faults.clone());
-    for slot in &par.parts {
-        slot.lock().sched.apply_tuning(sim.tuning);
-    }
     migrate_global_queue(sim, par);
 
     let comps = ShareComps::new(&sim.components);

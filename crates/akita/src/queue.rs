@@ -20,9 +20,7 @@
 //! lane heads, so the pop order is *bit-identical* to a single stable heap
 //! (the `proptests` module proves this differentially against a reference
 //! heap). When the ring drains, the next heap pop advances the lane to its
-//! time. The ring lane can be disabled with [`EventQueue::set_ring_enabled`]
-//! to recover the seed engine's single-heap behaviour for ablation
-//! benchmarks (`benches/event_queue.rs`).
+//! time.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -68,7 +66,7 @@ impl PartialOrd for Ev {
 }
 
 /// A stable min-priority queue of [`Ev`]s with a same-cycle fast path.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
     /// Same-cycle lane: events at `lane_time` pushed while that time was
     /// current. Seqs are monotonic, so the ring is always FIFO-sorted.
@@ -78,38 +76,12 @@ pub struct EventQueue {
     /// Future-time (and rare out-of-lane) events.
     heap: BinaryHeap<Reverse<Ev>>,
     next_seq: u64,
-    /// When false, every push goes through the heap (seed behaviour).
-    ring_enabled: bool,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            ring: VecDeque::new(),
-            lane_time: VTime::ZERO,
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            ring_enabled: true,
-        }
-    }
 }
 
 impl EventQueue {
-    /// Creates an empty queue (ring lane enabled).
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue::default()
-    }
-
-    /// Enables or disables the same-cycle ring lane. Disabling drains the
-    /// ring into the heap, restoring the single-level seed behaviour —
-    /// pop order is identical either way; only the constant factor changes.
-    pub fn set_ring_enabled(&mut self, on: bool) {
-        self.ring_enabled = on;
-        if !on {
-            for ev in self.ring.drain(..) {
-                self.heap.push(Reverse(ev));
-            }
-        }
     }
 
     /// Schedules an event for `component` at `time`.
@@ -123,7 +95,7 @@ impl EventQueue {
             component,
             kind,
         };
-        if self.ring_enabled && time == self.lane_time {
+        if time == self.lane_time {
             self.ring.push_back(ev);
         } else {
             self.heap.push(Reverse(ev));
@@ -172,18 +144,13 @@ impl EventQueue {
         self.ring.is_empty() && self.heap.is_empty()
     }
 
-    /// All pending events, in no particular order (used to rebuild tick
-    /// bookkeeping when the dedup representation changes).
-    pub(crate) fn events(&self) -> impl Iterator<Item = &Ev> {
-        self.ring
-            .iter()
-            .chain(self.heap.iter().map(|Reverse(ev)| ev))
-    }
-
     /// The components with at least one pending event, in no particular
     /// order (used by the topology analyzer's reachability pass).
     pub fn scheduled_components(&self) -> impl Iterator<Item = ComponentId> + '_ {
-        self.events().map(|ev| ev.component)
+        self.ring
+            .iter()
+            .chain(self.heap.iter().map(|Reverse(ev)| ev))
+            .map(|ev| ev.component)
     }
 }
 
@@ -262,20 +229,6 @@ mod tests {
         q.push(VTime::ZERO, cid(0), EventKind::Custom(42));
         assert_eq!(q.pop().unwrap().kind, EventKind::Custom(42));
     }
-
-    #[test]
-    fn disabling_the_ring_preserves_order() {
-        let mut q = EventQueue::new();
-        let t = VTime::from_ns(1);
-        q.push(VTime::ZERO, cid(0), EventKind::Tick); // lands in the ring
-        q.push(t, cid(1), EventKind::Tick);
-        q.set_ring_enabled(false); // drains the ring into the heap
-        q.push(VTime::ZERO, cid(2), EventKind::Tick);
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.component.index())
-            .collect();
-        assert_eq!(order, [0, 2, 1]);
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +250,7 @@ mod proptests {
         }
     }
 
-    /// The seed engine's queue, verbatim: a single stable binary heap.
+    /// The reference queue: a single stable binary heap.
     /// The two-level queue must be observationally identical to this.
     #[derive(Default)]
     struct RefQueue {
@@ -374,9 +327,9 @@ mod proptests {
         }
     }
 
-    /// The differential determinism proof: the two-level queue and the seed
-    /// heap pop *identical* event sequences — same `(time, seq, component,
-    /// kind)` tuples in the same order — under random push/pop
+    /// The differential determinism proof: the two-level queue and the
+    /// reference heap pop *identical* event sequences — same `(time, seq,
+    /// component, kind)` tuples in the same order — under random push/pop
     /// interleavings biased toward the engine's same-cycle pattern.
     #[test]
     fn two_level_queue_matches_reference_heap_exactly() {
@@ -419,42 +372,6 @@ mod proptests {
                 let a = q.pop();
                 let b = r.pop();
                 assert_eq!(a, b, "queues diverged while draining");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Same differential, ring lane disabled: the ablation mode is also
-    /// observationally the reference heap.
-    #[test]
-    fn heap_only_mode_matches_reference_heap_exactly() {
-        let mut rng = XorShift(0x1234_5678_9ABC_DEF1);
-        for _case in 0..32 {
-            let ops = (rng.next() % 299 + 1) as usize;
-            let mut q = EventQueue::new();
-            q.set_ring_enabled(false);
-            let mut r = RefQueue::default();
-            let mut now = 0u64;
-            for _ in 0..ops {
-                if rng.next().is_multiple_of(3) {
-                    let a = q.pop();
-                    assert_eq!(a, r.pop());
-                    if let Some(ev) = a {
-                        now = ev.time.ps();
-                    }
-                } else {
-                    let t = now + rng.next() % 3;
-                    let c = ComponentId::from_index((rng.next() % 4) as usize);
-                    q.push(VTime::from_ps(t), c, EventKind::Tick);
-                    r.push(VTime::from_ps(t), c, EventKind::Tick);
-                }
-            }
-            loop {
-                let a = q.pop();
-                let b = r.pop();
-                assert_eq!(a, b);
                 if a.is_none() {
                     break;
                 }

@@ -8,8 +8,8 @@ use std::thread;
 use std::time::Duration;
 
 use akita::{
-    impl_msg, CompBase, Component, ComponentState, Ctx, DirectConnection, EngineTuning, Freq,
-    MsgMeta, Port, RunState, Simulation, StopReason, VTime,
+    impl_msg, CompBase, Component, ComponentState, Ctx, DirectConnection, EventKind, Freq, MsgMeta,
+    Port, RunState, RunSummary, Simulation, StopReason, VTime,
 };
 
 #[derive(Debug)]
@@ -565,7 +565,7 @@ fn topology_and_schedule_custom_are_queryable() {
     assert_eq!(alarm.borrow().fired, vec![42]);
 }
 
-type EvLog = Vec<(u64, u64, usize, akita::EventKind)>;
+type EvLog = Vec<(u64, u64, usize, EventKind)>;
 
 /// Records every dispatched event verbatim: `(time, seq, component, kind)`.
 /// Two runs are behaviourally identical iff their logs are equal.
@@ -581,30 +581,64 @@ impl akita::Hook for EvRecorder {
     }
 }
 
-fn run_chain_with_tuning(tuning: EngineTuning) -> (EvLog, akita::RunSummary, Vec<u64>) {
-    let mut chain = build_chain(300, 2, 7);
-    chain.sim.set_tuning(tuning);
+/// Runs `sim` to completion with an [`EvRecorder`] attached.
+fn run_recorded(sim: &mut Simulation) -> (EvLog, RunSummary) {
     let log = Rc::new(RefCell::new(Vec::new()));
-    chain.sim.add_hook(EvRecorder {
+    sim.add_hook(EvRecorder {
         log: Rc::clone(&log),
     });
-    let summary = chain.sim.run();
-    let received = chain.consumer.borrow().received.clone();
-    (log.take(), summary, received)
+    let summary = sim.run();
+    (log.take(), summary)
 }
 
-/// The differential determinism proof at the engine level: the fast hot
-/// path (ring lane, epoch dedup, demand polling, batched publishes) and
-/// the seed configuration dispatch bit-identical event sequences on a
-/// backpressured chain.
+/// 64-bit FNV-1a over an event log, each event fed as the little-endian
+/// bytes of `time`, `seq` and `component`, then a kind tag (`0` = tick,
+/// `1` + code = custom).
+fn fnv1a(log: &EvLog) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for &(time, seq, component, kind) in log {
+        feed(&time.to_le_bytes());
+        feed(&seq.to_le_bytes());
+        feed(&(component as u64).to_le_bytes());
+        match kind {
+            EventKind::Tick => feed(&[0]),
+            EventKind::Custom(code) => {
+                feed(&[1]);
+                feed(&code.to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The hot path (ring lane, epoch dedup, demand polling, batched
+/// publishes) dispatches exactly the event sequence of the original
+/// single-heap, hashing-dedup engine on a backpressured chain. The digest,
+/// summary and delivery order were recorded from that engine.
 #[test]
-fn fast_and_seed_tunings_dispatch_identical_event_sequences() {
-    let (fast_log, fast_summary, fast_received) = run_chain_with_tuning(EngineTuning::fast());
-    let (seed_log, seed_summary, seed_received) = run_chain_with_tuning(EngineTuning::seed());
-    assert_eq!(fast_summary, seed_summary);
-    assert_eq!(fast_received, seed_received);
-    assert!(!fast_log.is_empty());
-    assert_eq!(fast_log, seed_log, "event sequences diverged");
+fn backpressured_chain_dispatches_the_pinned_event_sequence() {
+    let mut chain = build_chain(300, 2, 7);
+    let (log, summary) = run_recorded(&mut chain.sim);
+    assert_eq!(
+        summary,
+        RunSummary {
+            events: 3298,
+            end_time: VTime::from_ps(1_803_000),
+            reason: StopReason::Completed,
+        }
+    );
+    assert_eq!(
+        chain.consumer.borrow().received,
+        (0..300).collect::<Vec<u64>>()
+    );
+    assert_eq!(log.len(), 3298);
+    assert_eq!(fnv1a(&log), 0x541a_262f_1208_f093, "event sequence changed");
 }
 
 /// A component that fans ticks out to several future times, with
@@ -639,34 +673,37 @@ impl Component for Burst {
     }
 }
 
+/// More than two pending ticks per component take the dedup's overflow
+/// path; the dispatched sequence still equals the one recorded from the
+/// original hashing dedup.
 #[test]
-fn tick_dedup_is_exact_across_representations() {
-    let run = |tuning: EngineTuning| {
-        let mut sim = Simulation::new();
-        let mut handles = Vec::new();
-        for i in 0..3 {
-            let (id, rc) = sim.register(Burst {
-                base: CompBase::new("Burst", format!("B{i}")),
-                remaining: 8,
-                ticks: 0,
-            });
-            sim.wake_at(id, VTime::ZERO);
-            handles.push(rc);
-        }
-        sim.set_tuning(tuning);
-        let log = Rc::new(RefCell::new(Vec::new()));
-        sim.add_hook(EvRecorder {
-            log: Rc::clone(&log),
+fn tick_dedup_overflow_dispatches_the_pinned_event_sequence() {
+    let mut sim = Simulation::new();
+    let mut handles = Vec::new();
+    for i in 0..3 {
+        let (id, rc) = sim.register(Burst {
+            base: CompBase::new("Burst", format!("B{i}")),
+            remaining: 8,
+            ticks: 0,
         });
-        let summary = sim.run();
-        let ticks: Vec<u64> = handles.iter().map(|h| h.borrow().ticks).collect();
-        (log.take(), summary, ticks)
-    };
-    let fast = run(EngineTuning::fast());
-    let seed = run(EngineTuning::seed());
-    assert_eq!(fast, seed, "dedup representations disagreed");
+        sim.wake_at(id, VTime::ZERO);
+        handles.push(rc);
+    }
+    let (log, summary) = run_recorded(&mut sim);
+    let ticks: Vec<u64> = handles.iter().map(|h| h.borrow().ticks).collect();
+    assert_eq!(
+        summary,
+        RunSummary {
+            events: 33,
+            end_time: VTime::from_ps(10_000),
+            reason: StopReason::Completed,
+        }
+    );
+    assert_eq!(ticks, [11, 11, 11]);
     // Three distinct future times per burst: the overflow path really ran.
-    assert!(fast.2.iter().all(|&t| t > 8), "bursts must re-tick");
+    assert!(ticks.iter().all(|&t| t > 8), "bursts must re-tick");
+    assert_eq!(log.len(), 33);
+    assert_eq!(fnv1a(&log), 0x7184_ed18_fc15_b1cc, "event sequence changed");
 }
 
 /// The amortized `now`/`events` publishes must flush exactly whenever the

@@ -1,6 +1,5 @@
 //! Benches for the DES engine: raw event throughput, tick scheduling, and
-//! the ablation behind the paper's §VII claim that draining the
-//! monitor-query channel between events is effectively free.
+//! the round trip of a monitor query against a busy engine.
 
 use rtm_bench::micro::bench;
 
@@ -49,22 +48,6 @@ fn bench_event_throughput() {
     }
 }
 
-/// The §VII ablation: how much does polling the monitor-query channel every
-/// event cost versus polling rarely? The paper's design drains on-demand
-/// work every event; this shows why that is affordable.
-fn bench_query_poll_interval() {
-    for &interval in &[1u64, 64, 4096] {
-        bench(
-            &format!("engine/query_poll_interval/every_n_events/{interval}"),
-            || {
-                let mut sim = build_spinners(16, 1_000);
-                sim.set_query_poll_interval(interval);
-                sim.run()
-            },
-        );
-    }
-}
-
 /// Cost of the monitor answering a status query while the engine runs:
 /// measures the end-to-end request round-trip against a busy engine.
 fn bench_status_query_latency() {
@@ -90,6 +73,5 @@ fn bench_status_query_latency() {
 
 fn main() {
     bench_event_throughput();
-    bench_query_poll_interval();
     bench_status_query_latency();
 }

@@ -6,7 +6,7 @@
 //! so buffer fullness points straight at C.
 //!
 //! The chain itself lives in [`rtm_bench::chain`], shared with the
-//! `bench_engine` throughput harness.
+//! `perfbench` `chain` workload.
 
 use akita::VTime;
 use rtm_bench::chain::build_chain_sim;

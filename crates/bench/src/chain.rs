@@ -2,8 +2,8 @@
 //!
 //! A four-stage chain `Source → A → B → C → D` where C is
 //! throughput-limited, shared by the `fig4_chain` figure binary (buffer
-//! fullness identifies the bottleneck) and the `bench_engine` throughput
-//! harness (a backpressured, message-passing event stream — the engine
+//! fullness identifies the bottleneck) and the `perfbench` `chain`
+//! workload (a backpressured, message-passing event stream — the engine
 //! hot path's worst case: mixed same-cycle and future-time events).
 
 use akita::{

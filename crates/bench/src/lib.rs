@@ -1,6 +1,6 @@
-//! Shared harness for the figure-regeneration binaries and criterion
-//! benches: monitored platform construction, the four Figure 7 scenarios,
-//! and small table/plot printers.
+//! Shared harness for the figure-regeneration binaries and the
+//! [`micro::bench`] benches: monitored platform construction, the four
+//! Figure 7 scenarios, and small table/plot printers.
 
 #![warn(missing_docs)]
 

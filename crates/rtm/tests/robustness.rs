@@ -1,6 +1,7 @@
-//! Robustness end-to-end tests: fault plans injected over HTTP, the stall
-//! watchdog diagnosing an injected hang through the full RTM loop, and a
-//! crashed simulation that keeps answering HTTP queries post-mortem.
+//! Robustness end-to-end tests: fault plans injected over HTTP, a hostile
+//! request body that must not take the process down, the stall watchdog
+//! diagnosing an injected hang through the full RTM loop, and a crashed
+//! simulation that keeps answering HTTP queries post-mortem.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -92,6 +93,21 @@ fn fault_plans_round_trip_over_http() {
     let bad = client::post(rig.addr, "/api/faults/inject", Some("{not json")).unwrap();
     assert_eq!(bad.status, 400);
 
+    terminate(rig);
+}
+
+/// A hostile body of 200,000 nested `[` used to overflow the connection
+/// thread's stack inside the JSON parser and abort the whole process. It
+/// must be an ordinary 400, and the monitor must keep serving.
+#[test]
+fn deeply_nested_json_post_is_rejected_and_the_monitor_keeps_serving() {
+    let rig = launch(10_000);
+    let body = "[".repeat(200_000);
+    let rsp = client::post(rig.addr, "/api/faults/inject", Some(&body)).expect("inject");
+    assert_eq!(rsp.status, 400, "{}", rsp.body);
+    assert!(rsp.body.contains("nesting"), "{}", rsp.body);
+    let status = client::get(rig.addr, "/api/status").expect("status");
+    assert_eq!(status.status, 200, "{}", status.body);
     terminate(rig);
 }
 

@@ -96,10 +96,16 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a limit a hostile body of nested `[` would
+/// overflow the stack and abort the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -113,6 +119,8 @@ fn parse(s: &str) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -154,11 +162,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object level, enforcing [`MAX_DEPTH`].
+    fn nested(&mut self, level: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = level(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -240,8 +259,12 @@ impl Parser<'_> {
                                 if self.bytes[self.pos + 1..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined)
+                                    if (0xDC00..0xE000).contains(&lo) {
+                                        let hi = (cp - 0xD800) << 10;
+                                        char::from_u32(0x10000 + hi + (lo - 0xDC00))
+                                    } else {
+                                        None
+                                    }
                                 } else {
                                     None
                                 }

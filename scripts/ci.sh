@@ -22,14 +22,27 @@ cargo test --offline --workspace -q
 echo "==> cargo bench --no-run (benches compile)"
 cargo bench --offline --workspace --no-run
 
-echo "==> engine throughput smoke (sanity floor + tracing on/off overhead)"
-cargo run --offline --release -q -p rtm-bench --bin bench_engine -- --smoke
+echo "==> perfbench correctness smoke (reference events + end time, every request 200)"
+# Each run must commit exactly the events and end time of an untimed
+# reference run of the same inputs, and every HTTP request must answer 200;
+# perfbench reports both as `"correct": true` and `"failed": 0`.
+for workload in chain mcm_matmul_par; do
+    line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 3 --trace 0 | tail -n 1)"
+    python3 - "$workload" "$line" <<'EOF'
+import json, sys
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"FAIL: perfbench {workload}: {line}")
+print(f"perfbench {workload} OK ({result['attempted']} operations, all correct)")
+EOF
+done
 
 echo "==> parallel engine bit-identity (--threads 2 diffed against --threads 1)"
 # Full event-log identity is asserted at test level (the engine
 # differential suite in crates/akita/tests/par_differential.rs and the
-# MCM-GPU platform test), and the bench smoke above re-asserts the Fig 4
-# chain's event totals at 1 vs 2 threads. This step closes the loop
+# MCM-GPU platform test). This step closes the loop
 # end-to-end through the CLI: the same MCM-GPU FIR run must report the
 # same completion summary (events + virtual time) at both thread counts.
 par_a="$(mktemp)"

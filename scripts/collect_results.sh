@@ -19,6 +19,5 @@ run fig5 cargo run -q -p rtm-bench --bin fig5_case_study1 --release
 run fig6 cargo run -q -p rtm-bench --bin fig6_survey --release
 run case_study2 cargo run -q -p rtm-bench --bin case_study2_hang --release
 run fig7 cargo run -q -p rtm-bench --bin fig7_overhead --release
-run bench_engine cargo run -q -p rtm-bench --bin bench_engine --release
 
 echo "all harness outputs written to results/"
