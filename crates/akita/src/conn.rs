@@ -109,7 +109,10 @@ struct InFlight {
     msg: Box<dyn Msg>,
 }
 
-struct Link {
+/// One destination port's in-flight queue: fault verdicts, arrival-ordered
+/// queueing and head-of-line delivery. [`DirectConnection`] keeps one per
+/// attached port; the parallel engine's docks keep one per relayed port.
+pub(crate) struct Link {
     port: Port,
     queue: VecDeque<InFlight>,
     cap: usize,
@@ -117,6 +120,126 @@ struct Link {
     next_free: VTime,
     /// Components whose send was rejected; woken on delivery progress.
     blocked_senders: Vec<ComponentId>,
+}
+
+impl Link {
+    pub(crate) fn new(port: Port, cap: usize) -> Link {
+        Link {
+            port,
+            queue: VecDeque::new(),
+            cap,
+            next_free: VTime::ZERO,
+            blocked_senders: Vec::new(),
+        }
+    }
+
+    /// Messages queued on the link.
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Draws the destination port's fault verdict for one message.
+    #[inline]
+    pub(crate) fn verdict(&self) -> MsgVerdict {
+        let site = self.port.fault_site();
+        if site.armed() {
+            site.msg_verdict()
+        } else {
+            MsgVerdict::Pass
+        }
+    }
+
+    /// Queues `msg` to arrive at `arrive`, applying a delay, reorder or
+    /// duplicate `verdict` (a drop is the caller's to handle). Returns the
+    /// arrival time after any delay.
+    #[inline]
+    pub(crate) fn enqueue(
+        &mut self,
+        verdict: MsgVerdict,
+        mut arrive: VTime,
+        msg: Box<dyn Msg>,
+    ) -> VTime {
+        if let MsgVerdict::Delay(extra_ps) = verdict {
+            arrive += VTime::from_ps(extra_ps);
+        }
+        let duplicate = if verdict == MsgVerdict::Duplicate {
+            // Messages that do not opt into clone_msg pass through intact.
+            msg.clone_msg()
+        } else {
+            None
+        };
+        if verdict == MsgVerdict::Reorder && !self.queue.is_empty() {
+            // Jump the queue: this message swaps position — and arrival
+            // time, keeping per-link delivery times monotonic — with the
+            // previously queued one.
+            let idx = self.queue.len() - 1;
+            let prev_arrive = self.queue[idx].arrive;
+            self.queue[idx].arrive = arrive;
+            self.queue.insert(
+                idx,
+                InFlight {
+                    arrive: prev_arrive,
+                    msg,
+                },
+            );
+        } else {
+            self.queue.push_back(InFlight { arrive, msg });
+        }
+        if let Some(copy) = duplicate {
+            if self.queue.len() < self.cap {
+                self.queue.push_back(InFlight { arrive, msg: copy });
+            }
+        }
+        arrive
+    }
+
+    /// Delivers every message that has arrived by now, in order, stalling
+    /// head-of-line on a full destination buffer (the port wakes the
+    /// delivering component when space frees). Records each hop's
+    /// `Transit` span under `site`, wakes blocked senders on progress, and
+    /// folds the next pending arrival into `next`. Returns the number of
+    /// messages delivered.
+    #[inline]
+    pub(crate) fn deliver_due(
+        &mut self,
+        ctx: &mut Ctx,
+        site: trace::SiteId,
+        next: &mut Option<VTime>,
+    ) -> u64 {
+        let now = ctx.now();
+        let mut delivered = 0;
+        while let Some(head) = self.queue.front() {
+            if head.arrive > now {
+                *next = Some(next.map_or(head.arrive, |t| t.min(head.arrive)));
+                break;
+            }
+            let msg = self.queue.pop_front().expect("front checked").msg;
+            // Captured before `deliver` consumes the message; recorded
+            // only on successful delivery.
+            let hop = trace::is_enabled().then(|| {
+                let meta = msg.meta();
+                (meta.task, meta.task_kind, meta.send_time)
+            });
+            match self.port.deliver(ctx, msg) {
+                Ok(()) => {
+                    delivered += 1;
+                    if let Some((task, kind, sent)) = hop {
+                        trace::complete(task, site, kind, trace::Phase::Transit, sent, now);
+                    }
+                }
+                Err(msg) => {
+                    self.queue.push_front(InFlight { arrive: now, msg });
+                    break;
+                }
+            }
+        }
+        if delivered > 0 {
+            for sender in self.blocked_senders.drain(..) {
+                ctx.wake(sender);
+            }
+        }
+        delivered
+    }
 }
 
 /// A point-to-point connection group with fixed latency and optional
@@ -212,61 +335,17 @@ impl Component for DirectConnection {
     }
 
     fn tick(&mut self, ctx: &mut Ctx) -> bool {
-        let now = ctx.now();
-        let mut progress = false;
+        let mut delivered = 0;
         let mut next_arrival: Option<VTime> = None;
         for link in self.links.values_mut() {
-            let mut link_progress = false;
-            while let Some(head) = link.queue.front() {
-                if head.arrive > now {
-                    next_arrival = Some(match next_arrival {
-                        Some(t) => t.min(head.arrive),
-                        None => head.arrive,
-                    });
-                    break;
-                }
-                let msg = link.queue.pop_front().expect("front checked").msg;
-                // Captured before `deliver` consumes the message; recorded
-                // only on successful delivery.
-                let hop = trace::is_enabled().then(|| {
-                    let meta = msg.meta();
-                    (meta.task, meta.task_kind, meta.send_time)
-                });
-                match link.port.deliver(ctx, msg) {
-                    Ok(()) => {
-                        self.delivered += 1;
-                        link_progress = true;
-                        if let Some((task, kind, sent)) = hop {
-                            trace::complete(
-                                task,
-                                self.site,
-                                kind,
-                                trace::Phase::Transit,
-                                sent,
-                                now,
-                            );
-                        }
-                    }
-                    Err(msg) => {
-                        // Destination buffer full: stall head-of-line. The
-                        // port wakes us when the owner retrieves.
-                        link.queue.push_front(InFlight { arrive: now, msg });
-                        break;
-                    }
-                }
-            }
-            if link_progress {
-                progress = true;
-                for sender in link.blocked_senders.drain(..) {
-                    ctx.wake(sender);
-                }
-            }
+            delivered += link.deliver_due(ctx, self.site, &mut next_arrival);
         }
+        self.delivered += delivered;
         if let Some(t) = next_arrival {
             let id = self.base.id;
             ctx.schedule_tick(id, t);
         }
-        progress
+        delivered > 0
     }
 
     fn state(&self) -> ComponentState {
@@ -288,23 +367,14 @@ impl Component for DirectConnection {
 
 impl Connection for DirectConnection {
     fn attach(&mut self, port: &Port) {
-        self.links.insert(
-            port.id(),
-            Link {
-                port: port.clone(),
-                queue: VecDeque::new(),
-                cap: self.link_cap,
-                next_free: VTime::ZERO,
-                blocked_senders: Vec::new(),
-            },
-        );
+        self.links
+            .insert(port.id(), Link::new(port.clone(), self.link_cap));
     }
 
     fn push_msg(&mut self, ctx: &mut Ctx, mut msg: Box<dyn Msg>) -> Result<(), SendError> {
         let dst = msg.meta().dst;
         let now = ctx.now();
-        let mut verdict = MsgVerdict::Pass;
-        {
+        let verdict = {
             let Some(link) = self.links.get_mut(&dst) else {
                 return Err(SendError::NotAttached {
                     connection: self.base.name.clone(),
@@ -317,50 +387,18 @@ impl Connection for DirectConnection {
                 link.blocked_senders.push(ctx.current());
                 return Err(SendError::Busy(msg));
             }
-            if link.port.fault_site().armed() {
-                verdict = link.port.fault_site().msg_verdict();
-            }
-        }
+            link.verdict()
+        };
         if verdict == MsgVerdict::Drop {
             // Consumed before entering the wire: the sender believes the
             // send succeeded, the destination never hears about it.
             return Ok(());
         }
+        // Stamped before `enqueue` so a duplicate carries it too.
         msg.meta_mut().send_time = now;
-        let mut arrive = self.arrival_time(now, dst, msg.meta().traffic_bytes);
-        if let MsgVerdict::Delay(extra_ps) = verdict {
-            arrive += VTime::from_ps(extra_ps);
-        }
-        let duplicate = if verdict == MsgVerdict::Duplicate {
-            // Messages that do not opt into clone_msg pass through intact.
-            msg.clone_msg()
-        } else {
-            None
-        };
+        let arrive = self.arrival_time(now, dst, msg.meta().traffic_bytes);
         let link = self.links.get_mut(&dst).expect("checked above");
-        if verdict == MsgVerdict::Reorder && !link.queue.is_empty() {
-            // Jump the queue: this message swaps position — and arrival
-            // time, keeping per-link delivery times monotonic — with the
-            // previously queued one.
-            let idx = link.queue.len() - 1;
-            let prev_arrive = link.queue[idx].arrive;
-            link.queue[idx].arrive = arrive;
-            link.queue.insert(
-                idx,
-                InFlight {
-                    arrive: prev_arrive,
-                    msg,
-                },
-            );
-        } else {
-            link.queue.push_back(InFlight { arrive, msg });
-        }
-        if let Some(mut copy) = duplicate {
-            if link.queue.len() < link.cap {
-                copy.meta_mut().send_time = now;
-                link.queue.push_back(InFlight { arrive, msg: copy });
-            }
-        }
+        let arrive = link.enqueue(verdict, arrive, msg);
         let id = self.base.id;
         ctx.schedule_tick(id, arrive);
         Ok(())

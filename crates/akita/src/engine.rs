@@ -25,6 +25,11 @@
 //!
 //! None of them changes the dispatched event sequence; the integration
 //! tests pin that sequence by digest.
+//!
+//! The windowed engine ([`crate::par`]) shares this module's event path
+//! ([`execute`]), commit ([`Simulation::commit`]) and run loop
+//! ([`Simulation::run_loop`]); it supplies only windows, barriers and
+//! relays.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -48,7 +53,7 @@ use crate::query::{
     ActivityStamp, ComponentInfo, ComponentStateDto, EngineStatus, QueryClient, SimQuery,
     TopologyEdge, TraceRecord,
 };
-use crate::queue::{EventKind, EventQueue};
+use crate::queue::{Ev, EventKind, EventQueue};
 use crate::time::VTime;
 
 /// Events dispatched between publishes of the `now`/`events` atomics.
@@ -368,31 +373,31 @@ pub struct Simulation {
     query_rx: Receiver<SimQuery>,
     /// Exact events dispatched (engine-thread view; the atomic in `ctrl`
     /// lags by at most [`PUBLISH_BATCH`] between exact flushes).
-    pub(crate) events_total: u64,
+    events_total: u64,
     /// `events_total` at the last atomic flush.
     events_published: u64,
-    pub(crate) terminate_requested: bool,
+    terminate_requested: bool,
     topology: Vec<TopologyEdge>,
     /// Registered connections by component id, for topology analysis.
     connections: std::collections::BTreeMap<ComponentId, Rc<RefCell<dyn Connection>>>,
     /// Recent-event ring buffer (the trace view); empty when disabled.
-    pub(crate) trace: std::collections::VecDeque<(VTime, ComponentId, EventKind)>,
-    pub(crate) trace_enabled: bool,
-    pub(crate) trace_cap: usize,
+    trace: std::collections::VecDeque<(VTime, ComponentId, EventKind)>,
+    trace_enabled: bool,
+    trace_cap: usize,
     pub(crate) hooks: Vec<Rc<RefCell<dyn Hook>>>,
     /// Handle to the fault hub carried by `buffers`; the engine publishes
     /// virtual time into it and resolves component-level rules.
     pub(crate) fhub: FaultHub,
     /// Freeze/slow rules resolved to component ids, rebuilt on every
     /// [`Simulation::install_faults`].
-    pub(crate) comp_faults: Vec<Option<CompFaultEntry>>,
+    comp_faults: Vec<Option<CompFaultEntry>>,
     /// True when any fault rule (site or component) is armed — the single
     /// per-event branch fault-free runs pay.
     pub(crate) faults_on: bool,
     /// Per-component last-dispatch virtual time (ps), `u64::MAX` = never;
     /// empty while stamps are off. Feeds the stall watchdog.
-    pub(crate) activity: Vec<u64>,
-    pub(crate) activity_on: bool,
+    activity: Vec<u64>,
+    activity_on: bool,
     /// Conservative-window parallel configuration; `Some` routes every run
     /// through [`crate::par::run_windowed`].
     pub(crate) par: Option<std::rc::Rc<crate::par::ParRuntime>>,
@@ -610,7 +615,7 @@ impl Simulation {
     /// on `threads` worker threads in lock-step windows; committed events
     /// are merged and hook-dispatched in global `(time, seq)` order, so the
     /// observable event log is bit-identical for every `threads` value
-    /// (including 1). [`Simulation::step`] is not supported in this mode.
+    /// (including 1).
     ///
     /// # Errors
     ///
@@ -717,9 +722,12 @@ impl Simulation {
         self.ctrl.events.store(self.events_total, Ordering::Relaxed);
     }
 
-    fn dispatch(&mut self, ev: crate::queue::Ev) {
-        self.sched.now = ev.time;
-        self.sched.current = ev.component;
+    /// Counts an event as committed: the event counter (with its batched
+    /// publish), the trace ring and the activity stamp. Both engines commit
+    /// every dispatched event, frozen ones included, in global order.
+    #[inline(always)]
+    pub(crate) fn commit(&mut self, time: VTime, component: ComponentId, kind: EventKind) {
+        self.sched.now = time;
         self.events_total += 1;
         if self.events_total - self.events_published >= PUBLISH_BATCH {
             self.flush_publish();
@@ -728,104 +736,37 @@ impl Simulation {
             if self.trace.len() >= self.trace_cap {
                 self.trace.pop_front();
             }
-            self.trace.push_back((ev.time, ev.component, ev.kind));
-        }
-        if ev.kind == EventKind::Tick {
-            self.sched.pending_ticks.remove(ev.component, ev.time);
+            self.trace.push_back((time, component, kind));
         }
         if self.activity_on {
-            let i = ev.component.index();
+            let i = component.index();
             if i >= self.activity.len() {
                 self.activity.resize(i + 1, u64::MAX);
             }
-            self.activity[i] = ev.time.ps();
-        }
-        let mut slow_factor = None;
-        if self.faults_on {
-            // Publish virtual time so buffer-level stuck-full windows can
-            // be evaluated without a Ctx in hand.
-            self.fhub.set_now_ps(ev.time.ps());
-            if let Some(Some(entry)) = self.comp_faults.get(ev.component.index()) {
-                if let Some((from, until)) = entry.spec.freeze {
-                    let t = ev.time.ps();
-                    if t >= from && t < until {
-                        // Swallow the event; a finite freeze reschedules
-                        // the tick at thaw time so the component resumes.
-                        let name = entry.name.clone();
-                        if ev.kind == EventKind::Tick && until != u64::MAX {
-                            self.sched
-                                .schedule_tick(ev.component, VTime::from_ps(until));
-                        }
-                        self.fhub.note_comp_injections(&name, true, 1);
-                        return;
-                    }
-                }
-                slow_factor = entry.spec.slow_factor.filter(|f| *f > 1);
-            }
-        }
-        let comp_rc = Rc::clone(&self.components[ev.component.index()]);
-        if !self.hooks.is_empty() {
-            let comp = comp_rc.borrow();
-            for hook in &self.hooks {
-                hook.borrow_mut().before_event(&ev, &*comp);
-            }
-        }
-        let mut slow_applied = false;
-        {
-            let mut comp = comp_rc.borrow_mut();
-            let _prof = profile::scope(comp.kind());
-            let mut ctx = Ctx {
-                sched: &mut self.sched,
-            };
-            match ev.kind {
-                EventKind::Tick => {
-                    let progress = comp.tick(&mut ctx);
-                    if progress {
-                        let next = match slow_factor {
-                            // Stretch the tick period: the component keeps
-                            // working, at 1/factor the rate.
-                            Some(f) => {
-                                slow_applied = true;
-                                let period = comp.freq().period().ps();
-                                VTime::from_ps(
-                                    ev.time.ps().saturating_add(period.saturating_mul(f)),
-                                )
-                            }
-                            None => comp.freq().cycle_after(ev.time),
-                        };
-                        ctx.schedule_tick(ev.component, next);
-                    }
-                }
-                EventKind::Custom(code) => comp.handle_custom(code, &mut ctx),
-            }
-        }
-        if slow_applied {
-            if let Some(Some(entry)) = self.comp_faults.get(ev.component.index()) {
-                let name = entry.name.clone();
-                self.fhub.note_comp_injections(&name, false, 1);
-            }
-        }
-        if !self.hooks.is_empty() {
-            let comp = comp_rc.borrow();
-            for hook in &self.hooks {
-                hook.borrow_mut().after_event(&ev, &*comp);
-            }
+            self.activity[i] = time.ps();
         }
     }
 
-    /// Runs one event; returns `false` when the queue is empty.
-    ///
-    /// Single-stepping is a monitoring activity, so the lock-free view is
-    /// flushed exactly after each step.
-    pub fn step(&mut self) -> bool {
-        match self.sched.queue.pop() {
-            Some(ev) => {
-                self.dispatch(ev);
-                self.flush_publish();
-                true
-            }
-            None => false,
-        }
+    fn dispatch(&mut self, ev: Ev) {
+        self.commit(ev.time, ev.component, ev.kind);
+        let fault = if self.faults_on {
+            // Publish virtual time so buffer-level stuck-full windows can
+            // be evaluated without a Ctx in hand.
+            self.fhub.set_now_ps(ev.time.ps());
+            self.comp_faults
+                .get(ev.component.index())
+                .and_then(Option::as_ref)
+        } else {
+            None
+        };
+        execute(
+            &mut self.sched,
+            &self.components[ev.component.index()],
+            &ev,
+            fault,
+            &self.fhub,
+            &self.hooks,
+        );
     }
 
     /// Runs until the event queue drains or a stop is requested.
@@ -917,9 +858,38 @@ impl Simulation {
     }
 
     fn run_inner(&mut self, deadline: Option<VTime>, interactive: bool) -> RunSummary {
-        if self.par.is_some() {
-            return crate::par::run_windowed(self, deadline, interactive);
+        // Clone the parallel runtime handle rather than take it: queries
+        // served mid-run must still see `self.par`, or `/api/parallel`
+        // would answer "serial" and blind the watchdog's stall classifier.
+        match self.par.clone() {
+            Some(par) => crate::par::run_windowed(self, &par, deadline, interactive),
+            None => self.run_loop(deadline, interactive, |sim, deadline| {
+                if let Some(d) = deadline {
+                    if sim.sched.queue.peek_time().is_some_and(|t| t > d) {
+                        return Advance::Deadline;
+                    }
+                }
+                match sim.sched.queue.pop() {
+                    Some(ev) => {
+                        sim.dispatch(ev);
+                        Advance::Ran
+                    }
+                    None => Advance::Drained,
+                }
+            }),
         }
+    }
+
+    /// The run loop both engines share: stop and terminate requests, pause,
+    /// monitor queries, the deadline and interactive idling are handled
+    /// here, between `advance` steps. The serial engine advances by one
+    /// event, the windowed engine by one window.
+    pub(crate) fn run_loop(
+        &mut self,
+        deadline: Option<VTime>,
+        interactive: bool,
+        mut advance: impl FnMut(&mut Simulation, Option<VTime>) -> Advance,
+    ) -> RunSummary {
         let start_events = self.events_total;
         self.ctrl.set_state(RunState::Running);
         self.flush_publish();
@@ -935,15 +905,13 @@ impl Simulation {
             if self.ctrl.has_pending_queries() {
                 self.drain_queries();
             }
-            if let Some(d) = deadline {
-                if self.sched.queue.peek_time().is_some_and(|t| t > d) {
-                    self.sched.now = d;
+            match advance(self, deadline) {
+                Advance::Ran => {}
+                Advance::Deadline => {
+                    self.sched.now = deadline.expect("deadline set");
                     break StopReason::DeadlineReached;
                 }
-            }
-            match self.sched.queue.pop() {
-                Some(ev) => self.dispatch(ev),
-                None => {
+                Advance::Drained => {
                     if interactive {
                         if self.idle_loop() {
                             continue;
@@ -969,7 +937,7 @@ impl Simulation {
     }
 
     /// Serves queries while paused; returns when unpaused or stopping.
-    pub(crate) fn paused_loop(&mut self) {
+    fn paused_loop(&mut self) {
         self.flush_publish();
         self.ctrl.set_state(RunState::Paused);
         while self.ctrl.is_paused() && !self.ctrl.stop_requested() && !self.terminate_requested {
@@ -982,7 +950,7 @@ impl Simulation {
 
     /// Serves queries while the queue is empty. Returns `true` when new
     /// events appeared (e.g. an injected tick) and the run should continue.
-    pub(crate) fn idle_loop(&mut self) -> bool {
+    fn idle_loop(&mut self) -> bool {
         self.flush_publish();
         self.ctrl.set_state(RunState::Idle);
         loop {
@@ -1153,6 +1121,97 @@ impl Simulation {
             }
         }
     }
+}
+
+/// What one step of an engine's run loop did.
+pub(crate) enum Advance {
+    /// Dispatched work; the loop continues.
+    Ran,
+    /// The next pending event lies past the deadline.
+    Deadline,
+    /// No event is pending.
+    Drained,
+}
+
+/// Runs one event on `comp`, the event path both engines share: clears the
+/// tick-dedup slot, applies the component's freeze/slow `fault` rules,
+/// calls the handler (profiled, between the `hooks`), and re-ticks the
+/// component when it made progress. Returns `false` when a freeze window
+/// swallowed the event; hooks never see a swallowed event.
+///
+/// Always inlined: it is each engine's per-event hot path.
+#[inline(always)]
+pub(crate) fn execute(
+    sched: &mut Scheduler,
+    comp: &RefCell<dyn Component>,
+    ev: &Ev,
+    fault: Option<&CompFaultEntry>,
+    fhub: &FaultHub,
+    hooks: &[Rc<RefCell<dyn Hook>>],
+) -> bool {
+    sched.now = ev.time;
+    sched.current = ev.component;
+    if ev.kind == EventKind::Tick {
+        sched.pending_ticks.remove(ev.component, ev.time);
+    }
+    let mut slow_factor = None;
+    if let Some(entry) = fault {
+        if let Some((from, until)) = entry.spec.freeze {
+            let t = ev.time.ps();
+            if t >= from && t < until {
+                // A finite freeze reschedules the tick at thaw time so the
+                // component resumes.
+                if ev.kind == EventKind::Tick && until != u64::MAX {
+                    sched.schedule_tick(ev.component, VTime::from_ps(until));
+                }
+                fhub.note_comp_injections(&entry.name, true, 1);
+                return false;
+            }
+        }
+        slow_factor = entry.spec.slow_factor.filter(|f| *f > 1);
+    }
+    if !hooks.is_empty() {
+        let comp = comp.borrow();
+        for hook in hooks {
+            hook.borrow_mut().before_event(ev, &*comp);
+        }
+    }
+    let mut slow_applied = false;
+    {
+        let mut comp = comp.borrow_mut();
+        let _prof = profile::scope(comp.kind());
+        let mut ctx = Ctx { sched };
+        match ev.kind {
+            EventKind::Tick => {
+                if comp.tick(&mut ctx) {
+                    let next = match slow_factor {
+                        // Stretch the tick period: the component keeps
+                        // working, at 1/factor the rate.
+                        Some(f) => {
+                            slow_applied = true;
+                            let period = comp.freq().period().ps();
+                            VTime::from_ps(ev.time.ps().saturating_add(period.saturating_mul(f)))
+                        }
+                        None => comp.freq().cycle_after(ev.time),
+                    };
+                    ctx.schedule_tick(ev.component, next);
+                }
+            }
+            EventKind::Custom(code) => comp.handle_custom(code, &mut ctx),
+        }
+    }
+    if slow_applied {
+        if let Some(entry) = fault {
+            fhub.note_comp_injections(&entry.name, false, 1);
+        }
+    }
+    if !hooks.is_empty() {
+        let comp = comp.borrow();
+        for hook in hooks {
+            hook.borrow_mut().after_event(ev, &*comp);
+        }
+    }
+    true
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -53,23 +53,25 @@ pub trait Hook {
 /// [`EventCounts`] handle ([`EventCountHook::shared`]) can expose them to
 /// the monitoring thread (the `/api/metrics` scrape surface) while the
 /// hook itself stays on the simulation thread. The lock is uncontended on
-/// the hot path — the scrape thread grabs it only per HTTP request.
+/// the hot path — the scrape thread grabs it only per HTTP request. Counts
+/// are keyed by the components' `&'static str` kinds, so counting an event
+/// never allocates.
 #[derive(Debug, Default)]
 pub struct EventCountHook {
-    counts: Arc<Mutex<HashMap<String, u64>>>,
+    counts: Arc<Mutex<HashMap<&'static str, u64>>>,
 }
 
 /// A cloneable, thread-safe read handle onto an [`EventCountHook`].
 #[derive(Debug, Clone, Default)]
 pub struct EventCounts {
-    counts: Arc<Mutex<HashMap<String, u64>>>,
+    counts: Arc<Mutex<HashMap<&'static str, u64>>>,
 }
 
-fn sorted_counts(counts: &Mutex<HashMap<String, u64>>) -> Vec<(String, u64)> {
+fn sorted_counts(counts: &Mutex<HashMap<&'static str, u64>>) -> Vec<(String, u64)> {
     let counts = counts
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let mut v: Vec<_> = counts.iter().map(|(k, &n)| (k.clone(), n)).collect();
+    let mut v: Vec<_> = counts.iter().map(|(&k, &n)| (k.to_owned(), n)).collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v
 }
@@ -121,7 +123,7 @@ impl Hook for EventCountHook {
             .counts
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(component.kind().to_owned())
+            .entry(component.kind())
             .or_insert(0) += 1;
     }
 }

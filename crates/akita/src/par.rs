@@ -10,21 +10,32 @@
 //! partitions can execute a window concurrently without ever seeing a
 //! message from their own present.
 //!
+//! # One engine core
+//!
+//! This module adds only windows, barriers and relays. Everything else is
+//! the serial engine's code: workers run each event through
+//! [`execute`] (tick dedup, freeze/slow rules, the profiled handler,
+//! re-ticking), the barrier commits through [`Simulation::commit`] (event
+//! counter, trace ring, activity stamps) and the hooks, and
+//! [`Simulation::run_loop`] — stop, pause, monitor queries, deadline,
+//! interactive idling — drives both engines. The windowed engine's step is
+//! [`advance_window`]: migrate queued work, run one window, commit it.
+//!
 //! # Relays and docks
 //!
 //! Connections whose endpoint owners live in more than one partition are
 //! *spanning*. A spanning connection never ticks; instead [`Port::send`]
 //! through it is intercepted (via a thread-local relay table) and the
 //! message is routed to the destination partition's **dock** — a pseudo
-//! component (`__par.Dock[p]`) with one FIFO per destination port that
-//! delivers via `Port::deliver` with head-of-line retry, exactly like
-//! [`DirectConnection`](crate::DirectConnection)'s links. Same-partition
-//! relays insert into the local dock mid-window; cross-partition relays
-//! park in per-destination outboxes that the coordinator drains at the
-//! window barrier in deterministic `(source partition, FIFO)` order.
-//! Spanning connections model pure latency (`Connection::relay_latency`);
-//! their bandwidth/link-cap shaping is not applied, and relayed senders
-//! never observe `Busy` — identically for every thread count.
+//! component (`__par.Dock[p]`) holding one uncapped [`Link`] per
+//! destination port, the link type [`DirectConnection`](crate::DirectConnection)
+//! uses, so fault verdicts and head-of-line delivery are shared code.
+//! Same-partition relays insert into the local dock mid-window;
+//! cross-partition relays park in per-destination outboxes that the barrier
+//! drains in deterministic `(source partition, FIFO)` order. Spanning
+//! connections model pure latency (`Connection::relay_latency`); their
+//! bandwidth/link-cap shaping is not applied, and relayed senders never
+//! observe `Busy` — identically for every thread count.
 //!
 //! # Determinism
 //!
@@ -48,7 +59,7 @@
 #![allow(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -57,14 +68,14 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::component::{CompBase, Component};
+use crate::conn::Link;
 use crate::engine::{
-    panic_message, CompFaultEntry, Ctx, RunState, RunSummary, Scheduler, Simulation, StopReason,
+    execute, panic_message, Advance, CompFaultEntry, Ctx, RunSummary, Scheduler, Simulation,
 };
-use crate::faults::FaultHub;
+use crate::faults::{FaultHub, MsgVerdict};
 use crate::ids::{ComponentId, PortId};
 use crate::msg::Msg;
-use crate::port::Port;
-use crate::profile;
+use crate::port::{Port, PortSnapshot};
 use crate::queue::{Ev, EventKind};
 use crate::state::ComponentState;
 use crate::time::VTime;
@@ -125,14 +136,9 @@ impl PartitionPlan {
         // a key function only has to describe *components*; wires follow.
         let snapshots = sim.buffer_registry().port_snapshots();
         for &conn_id in sim.connections_map().keys() {
-            let owner_parts: BTreeSet<usize> = snapshots
-                .iter()
-                .filter(|p| p.connection == Some(conn_id))
-                .filter_map(|p| p.owner)
-                .map(|o| assign[o.index()])
-                .collect();
-            if owner_parts.len() == 1 {
-                assign[conn_id.index()] = *owner_parts.iter().next().expect("len checked");
+            let owners = owner_partitions(&snapshots, conn_id, &assign);
+            if let (Some(&only), 1) = (owners.first(), owners.len()) {
+                assign[conn_id.index()] = only;
             }
         }
         Ok(PartitionPlan { assign, names })
@@ -155,6 +161,21 @@ impl PartitionPlan {
     pub fn assignment(&self) -> &[usize] {
         &self.assign
     }
+}
+
+/// The partitions owning the endpoints of connection `conn` under `assign`:
+/// one means the connection lives inside that partition, more mean it spans.
+fn owner_partitions(
+    snapshots: &[PortSnapshot],
+    conn: ComponentId,
+    assign: &[usize],
+) -> BTreeSet<usize> {
+    snapshots
+        .iter()
+        .filter(|p| p.connection == Some(conn))
+        .filter_map(|p| p.owner)
+        .map(|o| assign[o.index()])
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -263,23 +284,17 @@ struct OutMsg {
     msg: Box<dyn Msg>,
 }
 
-struct DockLink {
-    port: Port,
-    fsite: crate::faults::FaultSite,
-    /// The spanning connection's trace site, so relayed hops still record
-    /// `Phase::Transit` latencies under the connection's name.
-    site: trace::SiteId,
-    queue: VecDeque<(VTime, Box<dyn Msg>)>,
-}
-
 /// Per-partition delivery pseudo-component for relayed messages.
 ///
-/// FIFO per destination port with head-of-line retry on a full port buffer —
-/// the same observable flow control as [`crate::DirectConnection`], minus
-/// bandwidth shaping (spanning connections model pure latency).
+/// One [`Link`] per destination port, uncapped, so relayed messages get
+/// exactly [`crate::DirectConnection`]'s fault verdicts and head-of-line
+/// delivery, minus bandwidth shaping (spanning connections model pure
+/// latency). Each link records `Transit` spans under its spanning
+/// connection's trace site. A stalled link is retried when the destination
+/// port's owner retrieves (see `relay_wake_target`).
 pub(crate) struct Dock {
     base: CompBase,
-    links: BTreeMap<PortId, DockLink>,
+    links: BTreeMap<PortId, (trace::SiteId, Link)>,
 }
 
 impl Dock {
@@ -291,57 +306,24 @@ impl Dock {
     }
 
     fn add_link(&mut self, port: Port, conn_name: &str) {
-        let fsite = port.fault_site().clone();
         self.links.insert(
             port.id(),
-            DockLink {
-                port,
-                fsite,
-                site: trace::site(conn_name),
-                queue: VecDeque::new(),
-            },
+            (trace::site(conn_name), Link::new(port, usize::MAX)),
         );
     }
 
     /// Queues a relayed message for `dst`, drawing the destination port's
-    /// fault verdict (the relay-mode equivalent of the verdict a
-    /// `DirectConnection` draws in `push_msg`). Returns the arrival time to
-    /// schedule a dock tick at, or `None` when the message was dropped.
+    /// fault verdict as a `DirectConnection` would on send. Returns the
+    /// arrival time to schedule a dock tick at, or `None` when the message
+    /// was dropped.
     fn insert(&mut self, dst: PortId, arrive: VTime, msg: Box<dyn Msg>) -> Option<VTime> {
-        let link = self.links.get_mut(&dst).expect("relay route checked");
-        let mut arrive = arrive;
-        let mut verdict = crate::faults::MsgVerdict::Pass;
-        if link.fsite.armed() {
-            verdict = link.fsite.msg_verdict();
-        }
-        match verdict {
-            crate::faults::MsgVerdict::Drop => return None,
-            crate::faults::MsgVerdict::Delay(extra_ps) => arrive += VTime::from_ps(extra_ps),
-            _ => {}
-        }
-        let duplicate = if verdict == crate::faults::MsgVerdict::Duplicate {
-            msg.clone_msg()
-        } else {
-            None
-        };
-        if verdict == crate::faults::MsgVerdict::Reorder && !link.queue.is_empty() {
-            // Swap position — and arrival time — with the previously queued
-            // message, mirroring `DirectConnection`.
-            let idx = link.queue.len() - 1;
-            let prev_arrive = link.queue[idx].0;
-            link.queue[idx].0 = arrive;
-            link.queue.insert(idx, (prev_arrive, msg));
-        } else {
-            link.queue.push_back((arrive, msg));
-        }
-        if let Some(copy) = duplicate {
-            link.queue.push_back((arrive, copy));
-        }
-        Some(arrive)
+        let (_, link) = self.links.get_mut(&dst).expect("relay route checked");
+        let verdict = link.verdict();
+        (verdict != MsgVerdict::Drop).then(|| link.enqueue(verdict, arrive, msg))
     }
 
     fn pending(&self) -> usize {
-        self.links.values().map(|l| l.queue.len()).sum()
+        self.links.values().map(|(_, link)| link.len()).sum()
     }
 }
 
@@ -355,52 +337,16 @@ impl Component for Dock {
     }
 
     fn tick(&mut self, ctx: &mut Ctx) -> bool {
-        let now = ctx.now();
-        let mut progress = false;
+        let mut delivered = 0;
         let mut next_arrival: Option<VTime> = None;
-        for link in self.links.values_mut() {
-            while let Some(&(arrive, _)) = link.queue.front() {
-                if arrive > now {
-                    next_arrival = Some(match next_arrival {
-                        Some(t) => t.min(arrive),
-                        None => arrive,
-                    });
-                    break;
-                }
-                let (_, msg) = link.queue.pop_front().expect("front checked");
-                let hop = trace::is_enabled().then(|| {
-                    let meta = msg.meta();
-                    (meta.task, meta.task_kind, meta.send_time)
-                });
-                match link.port.deliver(ctx, msg) {
-                    Ok(()) => {
-                        progress = true;
-                        if let Some((task, kind, sent)) = hop {
-                            trace::complete(
-                                task,
-                                link.site,
-                                kind,
-                                trace::Phase::Transit,
-                                sent,
-                                now,
-                            );
-                        }
-                    }
-                    Err(msg) => {
-                        // Destination buffer full: stall head-of-line. The
-                        // port wakes this dock when the owner retrieves
-                        // (see `relay_wake_target`).
-                        link.queue.push_front((now, msg));
-                        break;
-                    }
-                }
-            }
+        for (site, link) in self.links.values_mut() {
+            delivered += link.deliver_due(ctx, *site, &mut next_arrival);
         }
         if let Some(t) = next_arrival {
             let id = self.base.id;
             ctx.schedule_tick(id, t);
         }
-        progress
+        delivered > 0
     }
 
     fn state(&self) -> ComponentState {
@@ -594,19 +540,10 @@ struct PartState {
     /// Behind a `RefCell` so the relay TLS can reach it while the worker
     /// holds `&mut` borrows elsewhere in this struct.
     outboxes: RefCell<Vec<Vec<OutMsg>>>,
-    /// Events dispatched this window, in per-partition `(time, seq)` order.
-    log: Vec<LogEv>,
-}
-
-#[derive(Clone, Copy)]
-struct LogEv {
-    time: VTime,
-    seq: u64,
-    component: ComponentId,
-    kind: EventKind,
-    /// The event was swallowed by an active freeze window: it counts and
-    /// traces, but hooks never see it (mirrors the serial engine).
-    frozen: bool,
+    /// Events dispatched this window, in per-partition `(time, seq)` order,
+    /// each flagged when a freeze swallowed it (it commits, but hooks
+    /// never see it).
+    log: Vec<(Ev, bool)>,
 }
 
 /// `Send + Sync` wrapper for a partition's state.
@@ -763,21 +700,13 @@ pub(crate) fn configure(
     let names = plan.names;
     let partitions = names.len();
 
-    // Spanning detection: a connection spans when its endpoint owners do
-    // not all share one partition.
     let snapshots = sim.buffer_registry().port_snapshots();
-    let mut spanning: BTreeSet<ComponentId> = BTreeSet::new();
-    for &conn_id in sim.connections_map().keys() {
-        let owner_parts: BTreeSet<usize> = snapshots
-            .iter()
-            .filter(|p| p.connection == Some(conn_id))
-            .filter_map(|p| p.owner)
-            .map(|o| assign[o.index()])
-            .collect();
-        if owner_parts.len() > 1 {
-            spanning.insert(conn_id);
-        }
-    }
+    let spanning: BTreeSet<ComponentId> = sim
+        .connections_map()
+        .keys()
+        .copied()
+        .filter(|&conn| owner_partitions(&snapshots, conn, &assign).len() > 1)
+        .collect();
 
     // Lookahead: the minimum relay latency over spanning connections. With
     // no spanning connections the single window covers the whole run.
@@ -915,7 +844,7 @@ pub(crate) fn report(sim: &Simulation, par: &ParRuntime) -> ParReport {
 // Window synchronization
 // ---------------------------------------------------------------------------
 
-/// Upper bound on one window's virtual-time span (10 µs): see `coordinate`.
+/// Upper bound on one window's virtual-time span (10 µs): see `advance_window`.
 const MAX_WINDOW_PS: u64 = 10_000_000;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1011,87 +940,93 @@ impl WindowSync {
 // The windowed run loop
 // ---------------------------------------------------------------------------
 
-/// Parallel replacement for the serial `run_inner`: same contract
-/// (deadline, interactive idling, pause/stop/terminate, `RunSummary`), but
-/// events execute on partition workers and commit at window barriers.
+/// Runs `sim` on the windowed engine: the shared run loop
+/// ([`Simulation::run_loop`]) advances one window per step while the
+/// workers execute the partitions.
 pub(crate) fn run_windowed(
-    sim: &mut Simulation,
-    deadline: Option<VTime>,
-    interactive: bool,
-) -> RunSummary {
-    // Clone the runtime handle instead of moving it out of the
-    // simulation: queries served at barriers (and from `paused_loop` /
-    // `idle_loop`) must still see `sim.par` — `/api/parallel` answering
-    // "serial" mid-run would blind the watchdog's stall classifier.
-    let par = std::rc::Rc::clone(sim.par.as_ref().expect("parallel mode configured"));
-    let start_events = sim.events_total;
-    let outcome = run_windowed_inner(sim, &par, deadline, interactive);
-    let reason = match outcome {
-        Ok(reason) => reason,
-        Err(note) => {
-            // Surface the worker panic from the engine thread so
-            // `run_caught` records the component that died.
-            sim.sched.now = note.now;
-            sim.sched.current = note.component;
-            sim.flush_publish();
-            std::panic::panic_any(note.message);
-        }
-    };
-    sim.flush_publish();
-    sim.ctrl.set_state(match reason {
-        StopReason::DeadlineReached => RunState::Idle,
-        _ => RunState::Finished,
-    });
-    RunSummary {
-        events: sim.events_total - start_events,
-        end_time: sim.sched.now,
-        reason,
-    }
-}
-
-fn run_windowed_inner(
     sim: &mut Simulation,
     par: &ParRuntime,
     deadline: Option<VTime>,
     interactive: bool,
-) -> Result<StopReason, CrashNote> {
+) -> RunSummary {
     assert_eq!(
         par.assign.len(),
         sim.components.len(),
         "components were registered after Simulation::set_parallel"
     );
-    sim.ctrl.set_state(RunState::Running);
-    sim.flush_publish();
-    sim.terminate_requested = false;
-    par.set_comp_faults(sim.comp_faults.clone());
-    migrate_global_queue(sim, par);
-
     let comps = ShareComps::new(&sim.components);
     let sync = WindowSync::new();
     let fhub = sim.fhub.clone();
-    let workers = par.workers;
-
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let sync = &sync;
-            let par_ref = par;
-            let fhub = fhub.clone();
-            scope.spawn(move || worker_loop(w, workers, par_ref, sync, comps, &fhub));
+        for w in 0..par.workers {
+            let (sync, fhub) = (&sync, &fhub);
+            scope.spawn(move || worker_loop(w, par, sync, comps, fhub));
         }
-        let result = coordinate(sim, par, &sync, deadline, interactive);
-        sync.broadcast_exit();
-        result
+        // Releases the parked workers however the loop ends — including a
+        // worker panic resurfaced by `advance_window` — so the scope can
+        // join them.
+        let _exit = ExitOnDrop(&sync);
+        sim.run_loop(deadline, interactive, |sim, deadline| {
+            advance_window(sim, par, &sync, deadline)
+        })
     })
 }
 
-fn worker_loop(
-    w: usize,
-    workers: usize,
+struct ExitOnDrop<'a>(&'a WindowSync);
+
+impl Drop for ExitOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.broadcast_exit();
+    }
+}
+
+/// One step of the windowed engine: hands queued work to the partitions,
+/// runs the next window on the workers and commits it.
+fn advance_window(
+    sim: &mut Simulation,
     par: &ParRuntime,
     sync: &WindowSync,
-    comps: ShareComps,
-    fhub: &FaultHub,
-) {
+    deadline: Option<VTime>,
+) -> Advance {
+    migrate_global_queue(sim, par);
+    let Some(t1) = par.min_pending_time() else {
+        return Advance::Drained;
+    };
+    if deadline.is_some_and(|d| t1 > d) {
+        return Advance::Deadline;
+    }
+    // Any window no larger than the lookahead is safe; the cap bounds how
+    // long monitor queries can starve when the topology has no spanning
+    // connections (lookahead = ∞). A fixed virtual-time cap keeps window
+    // boundaries — and therefore stuck-full evaluation points — identical
+    // for every thread count.
+    let win = par.lookahead_ps.min(MAX_WINDOW_PS);
+    let mut end_ps = t1.ps().saturating_add(win);
+    if let Some(d) = deadline {
+        // Dispatch nothing past the deadline; the next step ends the run
+        // once every pre-deadline event has committed.
+        end_ps = end_ps.min(d.ps().saturating_add(1));
+    }
+    if sim.faults_on {
+        // Workers never republish virtual time, so stuck-full windows are
+        // evaluated at the window start, identically for every thread
+        // count.
+        sim.fhub.set_now_ps(t1.ps());
+    }
+    sync.start_window(end_ps, sim.faults_on);
+    if let Some(note) = sync.wait_done(par.workers) {
+        // Surface the worker panic from the engine thread so `run_caught`
+        // records the component that died.
+        sim.sched.now = note.now;
+        sim.sched.current = note.component;
+        sim.flush_publish();
+        std::panic::panic_any(note.message);
+    }
+    barrier_commit(sim, par);
+    Advance::Ran
+}
+
+fn worker_loop(w: usize, par: &ParRuntime, sync: &WindowSync, comps: ShareComps, fhub: &FaultHub) {
     let mut seen = 0u64;
     loop {
         let wait_t0 = Instant::now();
@@ -1106,7 +1041,7 @@ fn worker_loop(
         let comp_faults = par.comp_faults();
         let busy_t0 = Instant::now();
         let mut crash = None;
-        for p in (w..par.parts.len()).step_by(workers) {
+        for p in (w..par.parts.len()).step_by(par.workers) {
             let mut st = par.parts[p].lock();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_partition_window(&mut st, par, comps, &comp_faults, faults_on, fhub, end_ps);
@@ -1141,168 +1076,30 @@ fn run_partition_window(
         dock: Rc::as_ptr(&st.dock),
         my_part: st.idx,
     });
-    loop {
-        match st.sched.queue.peek_time() {
-            Some(t) if t.ps() < end_ps => {}
-            _ => break,
-        }
+    while st.sched.queue.peek_time().is_some_and(|t| t.ps() < end_ps) {
         let ev = st.sched.queue.pop().expect("peeked");
-        dispatch_par(st, ev, comps, comp_faults, faults_on, fhub);
-    }
-}
-
-/// Per-partition event dispatch: the serial engine's `dispatch` minus the
-/// commit-side work (hooks, trace ring, activity stamps, event counting),
-/// which happens in merged global order at the barrier.
-fn dispatch_par(
-    st: &mut PartState,
-    ev: Ev,
-    comps: ShareComps,
-    comp_faults: &[Option<CompFaultEntry>],
-    faults_on: bool,
-    fhub: &FaultHub,
-) {
-    st.sched.now = ev.time;
-    st.sched.current = ev.component;
-    if ev.kind == EventKind::Tick {
-        st.sched.pending_ticks.remove(ev.component, ev.time);
-    }
-    let mut slow_factor = None;
-    let mut frozen = false;
-    if faults_on {
-        // NOTE: unlike the serial engine, virtual time is *not* republished
-        // per event — the coordinator publishes the window start, so
-        // stuck-full windows are evaluated at window granularity,
-        // identically for every thread count.
-        if let Some(Some(entry)) = comp_faults.get(ev.component.index()) {
-            if let Some((from, until)) = entry.spec.freeze {
-                let t = ev.time.ps();
-                if t >= from && t < until {
-                    if ev.kind == EventKind::Tick && until != u64::MAX {
-                        st.sched.schedule_tick(ev.component, VTime::from_ps(until));
-                    }
-                    fhub.note_comp_injections(&entry.name, true, 1);
-                    frozen = true;
-                }
-            }
-            if !frozen {
-                slow_factor = entry.spec.slow_factor.filter(|f| *f > 1);
-            }
-        }
-    }
-    st.log.push(LogEv {
-        time: ev.time,
-        seq: ev.seq,
-        component: ev.component,
-        kind: ev.kind,
-        frozen,
-    });
-    if frozen {
-        return;
-    }
-    let mut slow_applied = false;
-    {
+        let fault = if faults_on {
+            comp_faults
+                .get(ev.component.index())
+                .and_then(Option::as_ref)
+        } else {
+            None
+        };
         // SAFETY: `ev.component` belongs to this partition, so this worker
         // is the only thread borrowing its RefCell (see `ShareComps`).
-        let comp_cell = unsafe { comps.get(ev.component.index()) };
-        let mut comp = comp_cell.borrow_mut();
-        let _prof = profile::scope(comp.kind());
-        let mut ctx = Ctx {
-            sched: &mut st.sched,
-        };
-        match ev.kind {
-            EventKind::Tick => {
-                let progress = comp.tick(&mut ctx);
-                if progress {
-                    let next = match slow_factor {
-                        Some(f) => {
-                            slow_applied = true;
-                            let period = comp.freq().period().ps();
-                            VTime::from_ps(ev.time.ps().saturating_add(period.saturating_mul(f)))
-                        }
-                        None => comp.freq().cycle_after(ev.time),
-                    };
-                    ctx.schedule_tick(ev.component, next);
-                }
-            }
-            EventKind::Custom(code) => comp.handle_custom(code, &mut ctx),
-        }
-    }
-    if slow_applied {
-        if let Some(Some(entry)) = comp_faults.get(ev.component.index()) {
-            fhub.note_comp_injections(&entry.name, false, 1);
-        }
-    }
-}
-
-fn coordinate(
-    sim: &mut Simulation,
-    par: &ParRuntime,
-    sync: &WindowSync,
-    deadline: Option<VTime>,
-    interactive: bool,
-) -> Result<StopReason, CrashNote> {
-    loop {
-        if sim.ctrl.stop_requested() || sim.terminate_requested {
-            return Ok(StopReason::Stopped);
-        }
-        if sim.ctrl.is_paused() {
-            sim.paused_loop();
-            migrate_global_queue(sim, par);
-            continue;
-        }
-        let Some(t1) = par.min_pending_time() else {
-            // Quiesced: completed or deadlocked — same ambiguity as the
-            // serial engine; interactive mode idles for inspection.
-            if interactive {
-                if sim.idle_loop() {
-                    migrate_global_queue(sim, par);
-                    continue;
-                }
-                return Ok(StopReason::Stopped);
-            }
-            return Ok(StopReason::Completed);
-        };
-        if let Some(d) = deadline {
-            if t1 > d {
-                sim.sched.now = d;
-                return Ok(StopReason::DeadlineReached);
-            }
-        }
-        // Any window no larger than the lookahead is safe; the cap bounds
-        // how long monitor queries can starve when the topology has no
-        // spanning connections (lookahead = ∞). A fixed virtual-time cap
-        // keeps window boundaries — and therefore stuck-full evaluation
-        // points — identical for every thread count.
-        let win = par.lookahead_ps.min(MAX_WINDOW_PS);
-        let mut end_ps = t1.ps().saturating_add(win);
-        if let Some(d) = deadline {
-            // Dispatch nothing past the deadline; the re-check above ends
-            // the run once every pre-deadline event has committed.
-            end_ps = end_ps.min(d.ps().saturating_add(1));
-        }
-        if sim.faults_on {
-            sim.fhub.set_now_ps(t1.ps());
-        }
-        sync.start_window(end_ps, sim.faults_on);
-        if let Some(note) = sync.wait_done(par.workers) {
-            return Err(note);
-        }
-        barrier_commit(sim, par);
-        if sim.ctrl.has_pending_queries() {
-            sim.drain_queries();
-            migrate_global_queue(sim, par);
-        }
+        let comp = unsafe { comps.get(ev.component.index()) };
+        let ran = execute(&mut st.sched, comp, &ev, fault, fhub, &[]);
+        st.log.push((ev, !ran));
     }
 }
 
 /// The barrier: exchange outboxes, then merge partition logs in global
-/// `(time, seq, partition)` order and commit them — hooks, trace ring,
-/// activity stamps, event counter, published time — exactly as the serial
-/// engine would have, while every worker is parked.
+/// `(time, seq, partition)` order and commit them through
+/// [`Simulation::commit`] plus the hooks, exactly as the serial engine
+/// would have, while every worker is parked.
 fn barrier_commit(sim: &mut Simulation, par: &ParRuntime) {
     let partitions = par.parts.len();
-    let mut logs: Vec<Vec<LogEv>> = Vec::with_capacity(partitions);
+    let mut logs: Vec<Vec<(Ev, bool)>> = Vec::with_capacity(partitions);
     let mut outs: Vec<Vec<Vec<OutMsg>>> = Vec::with_capacity(partitions);
     for p in 0..partitions {
         let mut st = par.parts[p].lock();
@@ -1330,11 +1127,10 @@ fn barrier_commit(sim: &mut Simulation, par: &ParRuntime) {
 
     // k-way merge by (time, seq, partition).
     let mut cursors: Vec<usize> = vec![0; partitions];
-    let mut committed = 0u64;
     loop {
         let mut best: Option<(u64, u64, usize)> = None;
         for (p, log) in logs.iter().enumerate() {
-            if let Some(ev) = log.get(cursors[p]) {
+            if let Some((ev, _)) = log.get(cursors[p]) {
                 let key = (ev.time.ps(), ev.seq, p);
                 if best.is_none_or(|b| key < b) {
                     best = Some(key);
@@ -1342,42 +1138,19 @@ fn barrier_commit(sim: &mut Simulation, par: &ParRuntime) {
             }
         }
         let Some((_, _, p)) = best else { break };
-        let ev = logs[p][cursors[p]];
+        let (ev, frozen) = logs[p][cursors[p]];
         cursors[p] += 1;
-        committed += 1;
-        sim.events_total += 1;
-        sim.sched.now = ev.time;
-        if sim.trace_enabled {
-            if sim.trace.len() >= sim.trace_cap {
-                sim.trace.pop_front();
-            }
-            sim.trace.push_back((ev.time, ev.component, ev.kind));
-        }
-        if sim.activity_on {
-            let i = ev.component.index();
-            if i >= sim.activity.len() {
-                sim.activity.resize(i + 1, u64::MAX);
-            }
-            sim.activity[i] = ev.time.ps();
-        }
-        if !ev.frozen && !sim.hooks.is_empty() {
-            let e = Ev {
-                time: ev.time,
-                seq: ev.seq,
-                component: ev.component,
-                kind: ev.kind,
-            };
-            let comp_cell = Rc::clone(&sim.components[ev.component.index()]);
-            let comp = comp_cell.borrow();
+        sim.commit(ev.time, ev.component, ev.kind);
+        if !frozen && !sim.hooks.is_empty() {
+            let comp = sim.components[ev.component.index()].borrow();
             for hook in &sim.hooks {
-                hook.borrow_mut().before_event(&e, &*comp);
+                hook.borrow_mut().before_event(&ev, &*comp);
             }
             for hook in &sim.hooks {
-                hook.borrow_mut().after_event(&e, &*comp);
+                hook.borrow_mut().after_event(&ev, &*comp);
             }
         }
     }
-    let _ = committed;
 
     // Lock-free stats for the monitor.
     par.shared.windows.fetch_add(1, Ordering::Relaxed);
@@ -1393,7 +1166,7 @@ fn barrier_commit(sim: &mut Simulation, par: &ParRuntime) {
 /// Moves events from the global queue (initial `wake_at`s, plus anything a
 /// barrier-served query scheduled) into the owning partitions, preserving
 /// global `(time, seq)` order so per-partition sequencing is deterministic.
-pub(crate) fn migrate_global_queue(sim: &mut Simulation, par: &ParRuntime) {
+fn migrate_global_queue(sim: &mut Simulation, par: &ParRuntime) {
     while let Some(ev) = sim.sched.queue.pop() {
         if ev.kind == EventKind::Tick {
             sim.sched.pending_ticks.remove(ev.component, ev.time);

@@ -26,7 +26,9 @@ echo "==> perfbench correctness smoke (reference events + end time, every reques
 # Each run must commit exactly the events and end time of an untimed
 # reference run of the same inputs, and every HTTP request must answer 200;
 # perfbench reports both as `"correct": true` and `"failed": 0`.
-for workload in chain mcm_matmul_par; do
+# mcm_matmul_live serves a polling dashboard's queries mid-run, so it covers
+# the run loop's query path with a monitor attached.
+for workload in chain mcm_matmul_live mcm_matmul_par; do
     line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 0 --seconds 3 --trace 0 | tail -n 1)"
     python3 - "$workload" "$line" <<'EOF'
