@@ -1,23 +1,29 @@
 //! A small threaded HTTP/1.1 server on `std::net` only.
 //!
 //! The offline build environment has no async stack, so the web backend
-//! runs on plain blocking sockets: one acceptor thread polls a
-//! non-blocking listener (so shutdown needs no self-connect tricks), and
-//! each accepted connection is handled on its own short-lived thread —
+//! runs on plain blocking sockets: one acceptor thread blocks in
+//! `accept()`, so a request is picked up the moment it connects, and each
+//! accepted connection is handled on its own short-lived thread —
 //! handlers may block for seconds on an engine query without stalling
-//! other dashboard clients. Every response carries `Content-Length` and
-//! `Connection: close`, which both browsers and the in-tree
-//! [`client`](crate::client) handle.
+//! other dashboard clients. To stop, [`HttpServer::stop`] sets a flag and
+//! dials the server's own address once (loopback when bound to `0.0.0.0`
+//! or `::`); the acceptor wakes, sees the flag and exits. Every response
+//! carries `Content-Length` and `Connection: close`, which both browsers
+//! and the in-tree [`client`](crate::client) handle.
 //!
 //! The server is hardened against misbehaving peers and handlers
 //! ([`HttpConfig`]): request heads and bodies are size-bounded (`413`),
 //! a stalled client trips the per-connection read timeout (`408`), a
-//! panicking handler becomes a `500` without killing the connection
-//! thread pool, and dropping the server force-closes live connections so
-//! shutdown is bounded even with an idle client attached.
+//! panicking handler becomes a `500` without killing the server, and
+//! dropping the server force-closes live connections so shutdown is
+//! bounded even with an idle client attached. At most 64 connection
+//! threads live at once; the acceptor answers a connection over that cap
+//! itself with `503 {"error":"server busy"}` and spawns nothing. That 503
+//! is the transport shedding load; a route answers 503 with the engine's
+//! error when its query to the simulation fails.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -363,8 +369,14 @@ fn read_request(stream: &mut TcpStream, config: &HttpConfig) -> Result<Request, 
     })
 }
 
-/// The live-connection registry: stream clones the server can shut down
-/// to unblock their threads at stop time.
+/// Most connection threads alive at once; the acceptor sheds the rest
+/// with a `503`. A dashboard opens a handful at a time, so only a flood
+/// reaches this.
+const MAX_CONNECTIONS: usize = 64;
+
+/// The live-connection registry: one stream clone per connection thread,
+/// which the server shuts down to unblock that thread at stop time. Its
+/// length is the number of live connection threads.
 #[derive(Debug, Default)]
 struct Connections {
     next_id: AtomicU64,
@@ -372,13 +384,18 @@ struct Connections {
 }
 
 impl Connections {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
+    /// Registers `stream` for a new connection thread. `None` when
+    /// [`MAX_CONNECTIONS`] threads are live or the stream cannot be
+    /// cloned: an unregistered thread could outlive `stop()` by a whole
+    /// read timeout, so the caller must not spawn one.
+    fn admit(&self, stream: &TcpStream) -> Option<u64> {
+        let mut streams = self.streams.lock().unwrap_or_else(PoisonError::into_inner);
+        if streams.len() >= MAX_CONNECTIONS {
+            return None;
+        }
         let clone = stream.try_clone().ok()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push((id, clone));
+        streams.push((id, clone));
         Some(id)
     }
 
@@ -440,7 +457,6 @@ impl HttpServer {
         H: Fn(&Request) -> Response + Send + Sync + 'static,
     {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(Connections::default());
@@ -463,15 +479,28 @@ impl HttpServer {
         self.addr
     }
 
-    /// Signals the acceptor to stop, force-closes live connections, and
-    /// joins every connection thread. Bounded: blocked reads and writes
-    /// error out immediately once their sockets are shut down.
+    /// Signals the acceptor to stop, force-closes live connections, wakes
+    /// the acceptor with one connection of its own, and joins every
+    /// connection thread. Bounded: blocked reads and writes error out
+    /// immediately once their sockets are shut down.
     pub fn stop(&mut self) {
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
         self.conns.shutdown_all();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        // The acceptor exits on the next connection it accepts, this one
+        // or any other; while it backs off from an accept error it checks
+        // the flag again before it blocks.
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = thread.join();
     }
 }
 
@@ -492,50 +521,59 @@ fn accept_loop<H>(
 {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let handler = Arc::clone(handler);
-                let conns2 = Arc::clone(conns);
-                // One short-lived thread per connection: handlers may block
-                // on the engine's reply without holding up other clients.
-                // Registered so stop() can cut a stalled peer loose.
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("rtm-conn".into())
-                        .spawn(move || {
-                            let id = conns2.register(&stream);
-                            handle_connection(stream, config, &*handler);
-                            if let Some(id) = id {
-                                conns2.deregister(id);
-                            }
-                        });
-                if let Ok(h) = spawned {
-                    workers.push(h);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        let Ok((stream, _)) = listener.accept() else {
+            // E.g. `EMFILE`: the pending connection stays queued, so back
+            // off instead of spinning on the same error.
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
+        };
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // Registered before the spawn: see the `shutdown_all` below.
+        let Some(id) = conns.admit(&stream) else {
+            shed(stream);
+            continue;
+        };
+        let handler = Arc::clone(handler);
+        let conns2 = Arc::clone(conns);
+        // One short-lived thread per connection: handlers may block on the
+        // engine's reply without holding up other clients.
+        let spawned = std::thread::Builder::new()
+            .name("rtm-conn".into())
+            .spawn(move || {
+                handle_connection(stream, config, &*handler);
+                conns2.deregister(id);
+            });
+        match spawned {
+            Ok(h) => workers.push(h),
+            Err(_) => conns.deregister(id),
         }
         workers.retain(|h| !h.is_finished());
     }
-    // stop() already shut the registered sockets down; reads and writes
-    // in flight fail fast, so this join is bounded.
+    // Every admitted stream was registered on this thread, so this reaches
+    // all of them, also any admitted after stop()'s own shutdown; reads
+    // and writes in flight then fail fast, so the join is bounded.
     conns.shutdown_all();
     for h in workers {
         let _ = h.join();
     }
 }
 
+/// Answers a connection over [`MAX_CONNECTIONS`] on the acceptor thread:
+/// a `503` under a short write timeout, then a FIN, so the client reads
+/// the whole answer even if the request it sent is never read.
+fn shed(mut stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let busy = Response::json(503, &serde_json::json!({ "error": "server busy" }));
+    let _ = busy.write_to(&mut stream);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+}
+
 fn handle_connection<H>(mut stream: TcpStream, config: HttpConfig, handler: &H)
 where
     H: Fn(&Request) -> Response,
 {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
@@ -782,5 +820,114 @@ mod tests {
             start.elapsed()
         );
         drop(idle);
+    }
+
+    /// Closes the race where a connection thread registered itself after
+    /// stop() had shut the registered sockets down, and then sat out its
+    /// whole read timeout on an idle peer.
+    #[test]
+    fn dropping_right_after_an_idle_client_connects_is_bounded() {
+        for round in 0..50 {
+            let server = echo_server(HttpConfig::default());
+            let idle = TcpStream::connect(server.addr()).expect("connect");
+            let start = Instant::now();
+            drop(server);
+            assert!(
+                start.elapsed() < Duration::from_secs(1),
+                "round {round}: drop took {:?}",
+                start.elapsed()
+            );
+            drop(idle);
+        }
+    }
+
+    /// The acceptor wakes on connect: a request is not delayed by a poll.
+    #[test]
+    fn sequential_round_trips_are_not_paced_by_the_acceptor() {
+        let server = echo_server(HttpConfig::default());
+        let addr = server.addr();
+        let start = Instant::now();
+        for _ in 0..100 {
+            let rsp = crate::client::get(addr, "/").expect("get");
+            assert_eq!(rsp.status, 200);
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(200),
+            "100 round trips took {:?}",
+            start.elapsed()
+        );
+    }
+
+    /// A server bound to `0.0.0.0` or `::` stops promptly with an idle
+    /// client attached: stop() wakes its acceptor through loopback.
+    fn assert_unspecified_bind_stops_promptly(server: HttpServer, loopback: std::net::IpAddr) {
+        let addr = SocketAddr::new(loopback, server.addr().port());
+        assert_eq!(crate::client::get(addr, "/").expect("get").status, 200);
+        let idle = TcpStream::connect(addr).expect("connect");
+        let start = Instant::now();
+        drop(server);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "drop took {:?}",
+            start.elapsed()
+        );
+        drop(idle);
+    }
+
+    #[test]
+    fn unspecified_ipv4_bind_stops_promptly() {
+        let server = HttpServer::serve("0.0.0.0:0".parse().unwrap(), |_: &Request| {
+            Response::text(200, "ok")
+        })
+        .expect("bind");
+        assert_unspecified_bind_stops_promptly(server, Ipv4Addr::LOCALHOST.into());
+    }
+
+    #[test]
+    fn unspecified_ipv6_bind_stops_promptly() {
+        let Ok(server) = HttpServer::serve("[::]:0".parse().unwrap(), |_: &Request| {
+            Response::text(200, "ok")
+        }) else {
+            eprintln!("skipped: this host cannot bind [::]");
+            return;
+        };
+        assert_unspecified_bind_stops_promptly(server, Ipv6Addr::LOCALHOST.into());
+    }
+
+    /// Over [`MAX_CONNECTIONS`] live connections the acceptor answers 503
+    /// itself; once they close, requests are served again.
+    #[test]
+    fn connections_over_the_cap_are_shed_with_503() {
+        let server = echo_server(HttpConfig::default());
+        let addr = server.addr();
+        // The acceptor takes connections in order, so these 64 are admitted
+        // before the request below is.
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        let start = Instant::now();
+        let busy = crate::client::get(addr, "/").expect("get");
+        assert_eq!(busy.status, 503, "{}", busy.body);
+        assert_eq!(busy.body, r#"{"error":"server busy"}"#);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            start.elapsed()
+        );
+
+        drop(idle);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let rsp = crate::client::get(addr, "/").expect("get");
+            if rsp.status == 200 {
+                break;
+            }
+            assert_eq!(rsp.status, 503, "{}", rsp.body);
+            assert!(
+                Instant::now() < deadline,
+                "still shedding after the idle clients left"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }

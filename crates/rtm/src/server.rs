@@ -45,7 +45,9 @@ fn ok_json(value: &impl Serialize) -> Response {
     Response::json(200, value)
 }
 
-/// `Result<T, QueryError>` to a 200/503 response.
+/// `Result<T, QueryError>` to a 200/503 response. This 503 names the
+/// failed engine query; a `503 {"error":"server busy"}` comes from
+/// [`crate::httpd`] shedding a connection before any route ran.
 fn respond<T: Serialize>(r: Result<T, QueryError>) -> Response {
     match r {
         Ok(v) => ok_json(&v),
