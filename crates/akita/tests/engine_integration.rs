@@ -617,7 +617,7 @@ fn fnv1a(log: &EvLog) -> u64 {
     h
 }
 
-/// The hot path (ring lane, epoch dedup, demand polling, batched
+/// The hot path (per-time bucket queue, slot dedup, demand polling, batched
 /// publishes) dispatches exactly the event sequence of the original
 /// single-heap, hashing-dedup engine on a backpressured chain. The digest,
 /// summary and delivery order were recorded from that engine.
@@ -643,7 +643,7 @@ fn backpressured_chain_dispatches_the_pinned_event_sequence() {
 
 /// A component that fans ticks out to several future times, with
 /// duplicates, each time it runs — more than two concurrent pending ticks
-/// per component, exercising the epoch dedup's overflow path.
+/// per component, exercising the tick dedup's overflow path.
 struct Burst {
     base: CompBase,
     remaining: u32,

@@ -96,7 +96,8 @@ fn main() {
         .filter(|r| r[0].contains("L1VROB") && r[1] == "8" && r[2] == "8")
         .count();
     println!();
-    if rob_rows >= 3 && full_robs >= 3 {
+    let reproduced = rob_rows >= 3 && full_robs >= 3;
+    if reproduced {
         println!(
             "REPRODUCED: {rob_rows} of the top 8 rows are L1VROB top ports, {full_robs} pinned at 8/8 —"
         );
@@ -107,4 +108,7 @@ fn main() {
         );
     }
     sim.terminate();
+    if !reproduced {
+        std::process::exit(1);
+    }
 }

@@ -168,4 +168,7 @@ fn main() {
     }
     println!("{ok}/5 series match the paper's qualitative description; conclusion: the RDMA/");
     println!("network saturates first — the Case Study 1 root cause.");
+    if ok < 5 {
+        std::process::exit(1);
+    }
 }

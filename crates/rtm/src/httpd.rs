@@ -16,7 +16,9 @@
 //! a stalled client trips the per-connection read timeout (`408`), a
 //! panicking handler becomes a `500` without killing the server, and
 //! dropping the server force-closes live connections so shutdown is
-//! bounded even with an idle client attached. At most 64 connection
+//! bounded even with an idle client attached. Answers already being
+//! written get up to 250 ms to finish first, so the reply to the request
+//! that ended the simulation is not cut off. At most 64 connection
 //! threads live at once; the acceptor answers a connection over that cap
 //! itself with `503 {"error":"server busy"}` and spawns nothing. That 503
 //! is the transport shedding load; a route answers 503 with the engine's
@@ -26,7 +28,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -374,6 +376,12 @@ fn read_request(stream: &mut TcpStream, config: &HttpConfig) -> Result<Request, 
 /// reaches this.
 const MAX_CONNECTIONS: usize = 64;
 
+/// How long [`HttpServer::stop`] lets connections that are already
+/// answering a request finish before it shuts every socket down. The
+/// answer to the request that ended the simulation (`POST /api/terminate`)
+/// is the usual one still in flight.
+const ANSWER_GRACE: Duration = Duration::from_millis(250);
+
 /// The live-connection registry: one stream clone per connection thread,
 /// which the server shuts down to unblock that thread at stop time. Its
 /// length is the number of live connection threads.
@@ -381,6 +389,26 @@ const MAX_CONNECTIONS: usize = 64;
 struct Connections {
     next_id: AtomicU64,
     streams: Mutex<Vec<(u64, TcpStream)>>,
+    /// Connections that have read a request and not yet written its answer.
+    answering: Mutex<usize>,
+    answered: Condvar,
+}
+
+/// Marks one connection as answering until dropped.
+struct Answering<'a>(&'a Connections);
+
+impl Drop for Answering<'_> {
+    fn drop(&mut self) {
+        let mut n = self
+            .0
+            .answering
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *n -= 1;
+        if *n == 0 {
+            self.0.answered.notify_all();
+        }
+    }
 }
 
 impl Connections {
@@ -406,6 +434,27 @@ impl Connections {
             .retain(|(i, _)| *i != id);
     }
 
+    fn answering(&self) -> Answering<'_> {
+        *self
+            .answering
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        Answering(self)
+    }
+
+    /// Waits up to `limit` for every answer in progress to be written.
+    /// Idle connections are not waited for.
+    fn wait_for_answers(&self, limit: Duration) {
+        let n = self
+            .answering
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let _ = self
+            .answered
+            .wait_timeout_while(n, limit, |n| *n > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+
     fn shutdown_all(&self) {
         for (_, s) in self
             .streams
@@ -425,7 +474,6 @@ impl Connections {
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    conns: Arc<Connections>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -461,15 +509,13 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let conns = Arc::new(Connections::default());
         let stop_flag = Arc::clone(&stop);
-        let conns_flag = Arc::clone(&conns);
         let handler = Arc::new(handler);
         let thread = std::thread::Builder::new()
             .name("rtm-server".into())
-            .spawn(move || accept_loop(&listener, &stop_flag, &conns_flag, config, &handler))?;
+            .spawn(move || accept_loop(&listener, &stop_flag, &conns, config, &handler))?;
         Ok(HttpServer {
             addr: local,
             stop,
-            conns,
             thread: Some(thread),
         })
     }
@@ -479,16 +525,17 @@ impl HttpServer {
         self.addr
     }
 
-    /// Signals the acceptor to stop, force-closes live connections, wakes
-    /// the acceptor with one connection of its own, and joins every
-    /// connection thread. Bounded: blocked reads and writes error out
-    /// immediately once their sockets are shut down.
+    /// Signals the acceptor to stop and wakes it with one connection of
+    /// its own; the acceptor lets answers already in progress finish for
+    /// up to 250 ms, force-closes live connections and joins every
+    /// connection thread. Bounded: idle connections are not waited for,
+    /// and blocked reads and writes error out immediately once their
+    /// sockets are shut down.
     pub fn stop(&mut self) {
         let Some(thread) = self.thread.take() else {
             return;
         };
         self.stop.store(true, Ordering::SeqCst);
-        self.conns.shutdown_all();
         let mut wake = self.addr;
         if wake.ip().is_unspecified() {
             wake.set_ip(match wake {
@@ -542,7 +589,7 @@ fn accept_loop<H>(
         let spawned = std::thread::Builder::new()
             .name("rtm-conn".into())
             .spawn(move || {
-                handle_connection(stream, config, &*handler);
+                handle_connection(stream, config, &*handler, &conns2);
                 conns2.deregister(id);
             });
         match spawned {
@@ -551,9 +598,12 @@ fn accept_loop<H>(
         }
         workers.retain(|h| !h.is_finished());
     }
-    // Every admitted stream was registered on this thread, so this reaches
-    // all of them, also any admitted after stop()'s own shutdown; reads
-    // and writes in flight then fail fast, so the join is bounded.
+    // An answer in progress, typically the reply to the request that ended
+    // the simulation, gets a bounded grace period to reach its client.
+    // Every admitted stream was registered on this thread, so the shutdown
+    // reaches all of them; reads and writes in flight then fail fast, so
+    // the join is bounded.
+    conns.wait_for_answers(ANSWER_GRACE);
     conns.shutdown_all();
     for h in workers {
         let _ = h.join();
@@ -570,14 +620,18 @@ fn shed(mut stream: TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
-fn handle_connection<H>(mut stream: TcpStream, config: HttpConfig, handler: &H)
+fn handle_connection<H>(mut stream: TcpStream, config: HttpConfig, handler: &H, conns: &Connections)
 where
     H: Fn(&Request) -> Response,
 {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_write_timeout(Some(config.write_timeout));
     let _ = stream.set_nodelay(true);
-    let response = match read_request(&mut stream, &config) {
+    let request = read_request(&mut stream, &config);
+    // From here to the end the answer is in progress: stop() gives it a
+    // grace period before it shuts the socket down.
+    let _answering = conns.answering();
+    let response = match request {
         Ok(request) => {
             // A panicking route handler answers 500 and leaves the server
             // (and every other connection) alive.
@@ -820,6 +874,41 @@ mod tests {
             start.elapsed()
         );
         drop(idle);
+    }
+
+    /// The answer to a request that makes the owner stop the server, as
+    /// `POST /api/terminate` makes `rtm-sim` do, reaches its client whole:
+    /// stop() runs while the handler is still preparing the answer, and
+    /// waits for it instead of cutting the connection.
+    #[test]
+    fn an_answer_in_progress_survives_stop() {
+        for round in 0..20 {
+            let (started, on_start) = std::sync::mpsc::channel();
+            let mut server =
+                HttpServer::serve("127.0.0.1:0".parse().unwrap(), move |_: &Request| {
+                    let _ = started.send(());
+                    std::thread::sleep(Duration::from_millis(20));
+                    Response::json(200, &serde_json::json!({ "ok": true }))
+                })
+                .expect("bind");
+            let addr = server.addr();
+            let client =
+                std::thread::spawn(move || crate::client::post(addr, "/api/terminate", None));
+            on_start.recv().expect("the handler runs");
+            let start = Instant::now();
+            server.stop();
+            assert!(
+                start.elapsed() < Duration::from_millis(500),
+                "round {round}: stop took {:?}",
+                start.elapsed()
+            );
+            let rsp = client
+                .join()
+                .expect("client thread")
+                .unwrap_or_else(|e| panic!("round {round}: answer cut off: {e}"));
+            assert_eq!(rsp.status, 200, "round {round}");
+            assert_eq!(rsp.body, r#"{"ok":true}"#, "round {round}");
+        }
     }
 
     /// Closes the race where a connection thread registered itself after
